@@ -180,9 +180,13 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Transport errors, or the query error message as `InvalidData`.
+    /// Transport errors, or the server's ERROR message as
+    /// `InvalidData`: the query's own error, or the session-fatal one
+    /// the server sent before closing the session.
     pub fn query(&mut self, q: &str) -> io::Result<String> {
-        write_frame(&mut self.stream, T_QUERY, q.as_bytes())?;
+        if let Err(e) = write_frame(&mut self.stream, T_QUERY, q.as_bytes()) {
+            return Err(self.surface_server_error(e));
+        }
         match read_frame(&mut self.stream)? {
             Some((T_ANSWER, payload)) => Ok(String::from_utf8_lossy(&payload).into_owned()),
             Some((T_ERROR, msg)) => Err(proto_err(String::from_utf8_lossy(&msg).into_owned())),
@@ -195,9 +199,12 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// Transport errors, or the server's ERROR reply.
+    /// Transport errors, or the server's ERROR reply, including one
+    /// the server sent before it closed the session.
     pub fn finish(mut self) -> io::Result<Report> {
-        write_frame(&mut self.stream, T_FINISH, b"")?;
+        if let Err(e) = write_frame(&mut self.stream, T_FINISH, b"") {
+            return Err(self.surface_server_error(e));
+        }
         match read_frame(&mut self.stream)? {
             Some((T_REPORT, payload)) => Report::decode(&payload).map_err(proto_err),
             Some((T_ERROR, msg)) => Err(proto_err(String::from_utf8_lossy(&msg).into_owned())),

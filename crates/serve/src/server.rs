@@ -755,7 +755,10 @@ impl Server {
             let accepted: Option<SessionFn> = match &self.listener {
                 Listener::Tcp(l) => match l.accept() {
                     Ok((mut s, _)) => {
-                        if at_capacity || !configure_stream!(s, cfg) {
+                        // TCP_NODELAY: see the proto transport contract.
+                        if at_capacity
+                            || !(configure_stream!(s, cfg) && s.set_nodelay(true).is_ok())
+                        {
                             refuse(&mut s, at_capacity);
                             None
                         } else {
@@ -788,6 +791,9 @@ impl Server {
                         }
                     }));
                 }
+                // A polling accept on purpose: a blocking one woken by a
+                // self-connect starts sessions sooner but lets a session's
+                // teardown overlap the next one, raising peak RSS.
                 None => std::thread::sleep(Duration::from_millis(10)),
             }
         }
@@ -832,14 +838,18 @@ fn session_thread<S: SessionStream>(stream: &mut S, cfg: &ServerCfg) -> bool {
 }
 
 /// Connects to a `tcp:`/`unix:` address (the client side of
-/// [`Server::bind`] syntax).
+/// [`Server::bind`] syntax). TCP streams get `TCP_NODELAY`, per the
+/// [transport contract](crate::proto#transport-contract).
 ///
 /// # Errors
 ///
-/// Address syntax and connection errors.
+/// Address syntax and connection errors, including a failure to set
+/// `TCP_NODELAY`.
 pub fn connect(addr: &str) -> io::Result<Box<dyn ReadWrite>> {
     if let Some(tcp) = addr.strip_prefix("tcp:") {
-        Ok(Box::new(TcpStream::connect(tcp)?))
+        let stream = TcpStream::connect(tcp)?;
+        stream.set_nodelay(true)?;
+        Ok(Box::new(stream))
     } else if let Some(path) = addr.strip_prefix("unix:") {
         Ok(Box::new(UnixStream::connect(path)?))
     } else {

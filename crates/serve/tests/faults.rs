@@ -178,6 +178,47 @@ fn injected_frame_corruption_is_a_decode_error() {
     handle.join().unwrap().expect("server exits cleanly");
 }
 
+/// A session the server already closed with a structured ERROR must
+/// report that ERROR at the next QUERY, not the bare broken pipe or
+/// connection reset that the QUERY's write runs into.
+#[test]
+fn query_after_a_fatal_error_surfaces_the_server_error() {
+    // One session slot: a second session opens only once the server
+    // has dropped the first one's socket.
+    let cfg = ServerCfg {
+        faults: FaultPlan::parse("corrupt-events=1").unwrap(),
+        max_sessions: 1,
+        ..Default::default()
+    };
+    let (addr, handle) = spawn_server_with(cfg);
+
+    let mut client = Client::open(&addr, &Hello::default()).expect("open session");
+    client
+        .send_trace(&registry::find("hb").unwrap().demo_trace())
+        .expect("the corrupt frame is still delivered");
+    let next = loop {
+        match Client::open(&addr, &Hello::default()) {
+            Ok(next) => break next,
+            Err(e) if e.to_string().starts_with("unavailable:") => {
+                std::thread::sleep(std::time::Duration::from_millis(10));
+            }
+            Err(e) => panic!("unexpected open error: {e}"),
+        }
+    };
+    // The server's socket is closed now. This frame goes out in one
+    // write, which succeeds but draws a reset, so the QUERY's own
+    // write fails.
+    client
+        .send_events_raw(b"")
+        .expect("the first write after the close succeeds");
+    let err = client.query("events").unwrap_err();
+    assert!(err.to_string().starts_with("decode:"), "{err}");
+
+    assert!(next.finish().is_ok());
+    Client::shutdown_server(&addr).expect("shutdown");
+    handle.join().unwrap().expect("server exits cleanly");
+}
+
 /// Client-side reconnect: `open_with_retry` rides out a server that is
 /// still starting up.
 #[test]

@@ -7,6 +7,7 @@ use csst_serve::proto::{read_frame, write_frame, WireFormat, T_ERROR, T_EVENTS, 
 use csst_serve::{Client, Hello, Server};
 use std::io::Write;
 use std::net::TcpStream;
+use std::time::{Duration, Instant};
 
 /// Binds a server on an OS-chosen port and runs it on a background
 /// thread; returns the connectable address and the join handle.
@@ -81,6 +82,33 @@ fn concurrent_sessions_match_batch_and_shutdown_is_clean() {
     assert_eq!(race_report.summary, summary);
     assert_eq!(race_report.lines, lines);
 
+    Client::shutdown_server(&addr).expect("shutdown");
+    handle.join().unwrap().expect("server exits cleanly");
+}
+
+/// Transport regression guard: a QUERY round trip over TCP must not
+/// wait on delayed ACKs. Split frame writes without TCP_NODELAY cost
+/// about 80 ms per round trip (at least 16 s for these 200), so the 2 s
+/// bound catches the stall, not a slow host.
+#[test]
+fn tcp_query_round_trips_do_not_stall() {
+    let (addr, handle) = spawn_server();
+    let mut client = Client::open(&addr, &Hello::default()).expect("open hb session");
+    let trace = registry::find("hb").unwrap().demo_trace();
+    client.send_trace(&trace).expect("send");
+    let events = trace.total_events().to_string();
+
+    let start = Instant::now();
+    for _ in 0..200 {
+        assert_eq!(client.query("events").expect("events query"), events);
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "200 QUERY round trips took {elapsed:?}"
+    );
+
+    client.finish().expect("hb report");
     Client::shutdown_server(&addr).expect("shutdown");
     handle.join().unwrap().expect("server exits cleanly");
 }
