@@ -212,8 +212,8 @@ impl AccessFrontier {
         }
         // The write conflicts with the whole access frontier
         // (last write + last read of every thread); probe it in
-        // one batched sweep so closure-based indexes amortize
-        // the propagation from shared sources.
+        // one batched call (answered per probe on every index but
+        // the graph baseline).
         self.probe_buf.clear();
         if let Some(w) = st.last_write {
             if w.thread != id.thread {

@@ -139,8 +139,7 @@ impl<P: PartialOrderIndex> MemBugPredictor<P> {
             // Use-after-free: use vs free co-enabled. Cross-thread
             // pairs are enumerated up front so the ordered-pair filter
             // can prefetch both reachability directions per chunk
-            // through the batched API (one closure sweep per chunk
-            // instead of two probes per pair).
+            // through the batched API.
             pairs.clear();
             for &f in &life.frees {
                 for &u in &life.uses {

@@ -133,11 +133,11 @@ pub fn select_candidates<P: PartialOrderIndex>(
     cap: usize,
 ) -> Vec<(NodeId, NodeId)> {
     // The ordered-pair filter needs both directions per candidate;
-    // prefetch them in chunks through the batched API so the base
-    // order answers 128 probes per closure sweep instead of two.
-    // The cap counts only pairs that reach the witness check, so
-    // prefetching reachability (a pure query) cannot change which
-    // candidates are examined.
+    // prefetch them in chunks of 128 probes through the batched API
+    // (per probe on every index but the graph baseline, which shares
+    // one traversal per source). The cap counts only pairs that reach
+    // the witness check, so prefetching reachability (a pure query)
+    // cannot change which candidates are examined.
     let mut selected: Vec<(NodeId, NodeId)> = Vec::new();
     let mut probes: Vec<(NodeId, NodeId)> = Vec::new();
     let mut ordered: Vec<bool> = Vec::new();

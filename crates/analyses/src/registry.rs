@@ -14,7 +14,7 @@
 //! [`crate::Analysis`] soundness contract.
 
 use crate::{c11, deadlock, hb, linearizability, membug, race, tso, uaf};
-use csst_core::{Csst, GraphIndex, IncrementalCsst, SegTreeIndex, VectorClockIndex};
+use csst_core::{Csst, GraphIndex, IncrementalCsst, NodeId, SegTreeIndex, VectorClockIndex};
 use csst_trace::gen;
 use csst_trace::Trace;
 
@@ -263,25 +263,47 @@ static ENTRIES: [AnalysisEntry; 8] = [
     },
 ];
 
+/// Formats a `race` result: one line per predicted race. Every front
+/// end that reports `race` (the batch run, `csst-serve` sessions)
+/// formats through this function.
+pub fn race_report(races: &[(NodeId, NodeId)], candidates: usize) -> RunOutput {
+    RunOutput {
+        lines: races
+            .iter()
+            .map(|(a, b)| format!("race between {a} and {b}"))
+            .collect(),
+        summary: format!(
+            "{} race(s) predicted from {candidates} candidate(s)",
+            races.len()
+        ),
+        exit_code: (!races.is_empty()) as u8,
+    }
+}
+
+/// Formats an `hb` result: the first 20 races as lines. Every front
+/// end that reports `hb` formats through this function.
+pub fn hb_report(races: &[(NodeId, NodeId)], sync_edges: usize) -> RunOutput {
+    RunOutput {
+        lines: races
+            .iter()
+            .take(20)
+            .map(|(a, b)| format!("hb-race between {a} and {b}"))
+            .collect(),
+        summary: format!(
+            "{} hb-race(s); {sync_edges} synchronization edge(s)",
+            races.len()
+        ),
+        exit_code: (!races.is_empty()) as u8,
+    }
+}
+
 fn run_race<P: csst_core::PartialOrderIndex>(trace: &Trace, window: Option<usize>) -> RunOutput {
     let cfg = race::RaceCfg {
         window,
         ..Default::default()
     };
     let r = race::predict::<P>(trace, &cfg);
-    RunOutput {
-        lines: r
-            .races
-            .iter()
-            .map(|(a, b)| format!("race between {a} and {b}"))
-            .collect(),
-        summary: format!(
-            "{} race(s) predicted from {} candidate(s)",
-            r.races.len(),
-            r.candidates
-        ),
-        exit_code: (!r.races.is_empty()) as u8,
-    }
+    race_report(&r.races, r.candidates)
 }
 
 fn run_hb_entry(
@@ -304,20 +326,7 @@ fn run_hb_entry(
 
 fn run_hb<P: csst_core::PartialOrderIndex>(trace: &Trace) -> RunOutput {
     let r = hb::detect::<P>(trace);
-    RunOutput {
-        lines: r
-            .races
-            .iter()
-            .take(20)
-            .map(|(a, b)| format!("hb-race between {a} and {b}"))
-            .collect(),
-        summary: format!(
-            "{} hb-race(s); {} synchronization edge(s)",
-            r.races.len(),
-            r.sync_edges
-        ),
-        exit_code: (!r.races.is_empty()) as u8,
-    }
+    hb_report(&r.races, r.sync_edges)
 }
 
 fn run_deadlock<P: csst_core::PartialOrderIndex>(

@@ -10,14 +10,15 @@
 //! per representation × workload. The chain-count sweep issues its
 //! probes through the batched query API (`reachable_batch` and
 //! friends) — the hot path the analyses use — while the batch-size
-//! sweep varies the probes-per-call count to expose the amortization
-//! curve from per-call overhead (`query_batch1`) to full group sweeps
-//! (`query_batch256`). The shard sweep `ingest_shards{1,2,4,8}`
-//! streams a generated racy program through the sharded HB pipeline
-//! (`csst_serve::ShardedHb`) at each worker count — the multi-core
-//! ingest scaling figure; on a single-core machine the curve is flat
-//! (or slightly inverted, paying the channel overhead), so read it
-//! together with the host's core count. The machine-readable JSON this
+//! sweep varies the probes-per-call count from one (`query_batch1`) to
+//! 256 (`query_batch256`); only the graph baseline shares work across
+//! a call, every other representation answers per probe. The shard
+//! sweep `ingest_shards{1,2,4,8}` streams a generated racy program
+//! through the sharded HB pipeline (`csst_serve::ShardedHb`) at each
+//! worker count — the multi-core ingest scaling figure; on a
+//! single-core machine the curve is flat (or slightly inverted, paying
+//! the channel overhead), so read it together with the host's core
+//! count. The machine-readable JSON this
 //! module emits (`BENCH_PR7.json` via `scripts/bench.sh`) is the perf
 //! trajectory future PRs are compared against
 //! (`scripts/bench.sh --compare OLD.json NEW.json` diffs two runs and
@@ -354,11 +355,9 @@ fn run_query_mix<P: PartialOrderIndex>(
 /// batched query API — split by kind (the historical `i % 3` cycling)
 /// into one `reachable_batch`, one `successor_batch`, and one
 /// `predecessor_batch` call — matching how the analyses issue their
-/// per-event probe sets and letting closure-based structures amortize
-/// one group sweep per source chain across the whole stream. Dense
-/// segment trees are excluded (reported unsupported): their
-/// `O(k²·n)` storage at the k = 64 point would swamp the harness
-/// without saying anything new.
+/// per-event probe sets. Dense segment trees are excluded (reported
+/// unsupported): their `O(k²·n)` storage at the k = 64 point would
+/// swamp the harness without saying anything new.
 fn run_query_sweep<P: PartialOrderIndex>(
     cfg: &BenchCfg,
     repr: &'static str,
@@ -413,9 +412,9 @@ fn run_query_sweep<P: PartialOrderIndex>(
 /// One point of the batch-size sweep (`query_batch{1,16,256}`): the
 /// chain-count sweep's probe stream at the default `k`, issued through
 /// the batched API in calls of exactly `batch` probes (cycling the
-/// query kind per call). `query_batch1` is the per-call overhead floor
-/// — every probe pays worklist setup alone, like the sequential API —
-/// while `query_batch256` realizes the full group-sweep amortization.
+/// query kind per call). `query_batch1` is the per-call overhead floor;
+/// larger calls amortize only the call itself, except on the graph
+/// baseline, which shares one traversal per distinct source.
 fn run_query_batch<P: PartialOrderIndex>(
     cfg: &BenchCfg,
     repr: &'static str,

@@ -34,30 +34,22 @@
 //!   soon as the target chain's bound is good enough, rather than
 //!   running the fixpoint to completion.
 //!
-//! On top of the per-probe engine, this index overrides the batched
-//! query API ([`PartialOrderIndex::reachable_batch`] and friends) with
-//! **group sweeps**: probes are sorted by source chain and swept in
-//! monotone source-position order (descending forward, ascending
-//! backward), reusing one closure in place. Suffix minima only improve
-//! as the suffix grows, so the previous position's closure stays a
-//! witnessed upper bound and each step relaxes only the delta; the
-//! per-pair seed row advances a positional cursor over the raw heap
-//! entries instead of repeating `O(log n)` suffix-minima queries.
 //! While the domain has at most [`MAX_BITSET_CHAINS`] chains — every
 //! workload the paper evaluates — the worklist membership set is a
 //! single packed `u64` word ([`BitFrontier`]) instead of the stamped
-//! arrays. The memo additionally counts hits per entry, and
-//! [`PartialOrderIndex::insert_edges`] bursts end by recomputing the
-//! closures of sources that were actually queried in the closing epoch
-//! ("hot" sources), so steady query/update mixes pay one propagation
-//! per source per epoch instead of one per probe.
+//! arrays.
+//!
+//! The batched query API ([`PartialOrderIndex::reachable_batch`] and
+//! friends) keeps the trait's per-probe defaults: every probe is one
+//! run of the engine above, memo and early exits included, so batched
+//! answers equal sequential ones by construction.
 //!
 //! The domain is capacity-free: chains and positions are witnessed on
 //! demand (see [`PartialOrderIndex`]), and the sparse arrays grow for
 //! free.
 
 use crate::error::PoError;
-use crate::heap::{EdgeHeapStore, MinMultiset};
+use crate::heap::EdgeHeapStore;
 use crate::index::{NodeId, Pos, ThreadId, INF, MAX_BITSET_CHAINS};
 use crate::matrix::PairMatrix;
 use crate::reach::{BitFrontier, PartialOrderIndex};
@@ -220,13 +212,6 @@ struct MemoEntry {
     dir: Dir,
     t1: u32,
     j1: Pos,
-    /// Queries this entry has served since it was stored. A nonzero
-    /// count marks the source as *hot*: after an
-    /// [`PartialOrderIndex::insert_edges`] burst rolls the epoch, hot
-    /// sources get their closures recomputed eagerly (see
-    /// [`DynamicPo::refresh_hot_sources`]) so the next query burst hits
-    /// the memo immediately.
-    hits: u32,
     vals: Vec<Pos>,
 }
 
@@ -251,28 +236,12 @@ impl QueryMemo {
     }
 
     /// The cached bound of chain `t2` for source `⟨t1, j1⟩`, if a
-    /// closure of the right direction and epoch is cached. A hit bumps
-    /// the entry's hotness counter.
-    fn lookup(&mut self, epoch: u64, dir: Dir, t1: usize, j1: Pos, t2: usize) -> Option<Pos> {
-        self.entries
-            .iter_mut()
-            .find(|e| e.epoch == epoch && e.dir == dir && e.t1 == t1 as u32 && e.j1 == j1)
-            .map(|e| {
-                e.hits = e.hits.saturating_add(1);
-                e.vals.get(t2).copied().unwrap_or(INF)
-            })
-    }
-
-    /// Sources whose closure is worth recomputing after the given
-    /// epoch closed: entries of that epoch that served at least one
-    /// query. At most [`cap`](Self::cap) sources, so the refresh work
-    /// per burst is bounded by the memo capacity.
-    fn hot_sources(&self, epoch: u64) -> Vec<(Dir, usize, Pos)> {
+    /// closure of the right direction and epoch is cached.
+    fn lookup(&self, epoch: u64, dir: Dir, t1: usize, j1: Pos, t2: usize) -> Option<Pos> {
         self.entries
             .iter()
-            .filter(|e| e.epoch == epoch && e.hits > 0)
-            .map(|e| (e.dir, e.t1 as usize, e.j1))
-            .collect()
+            .find(|e| e.epoch == epoch && e.dir == dir && e.t1 == t1 as u32 && e.j1 == j1)
+            .map(|e| e.vals.get(t2).copied().unwrap_or(INF))
     }
 
     /// Caches the complete closure held in `scratch` (unvisited chains
@@ -293,7 +262,6 @@ impl QueryMemo {
                 dir,
                 t1: t1 as u32,
                 j1,
-                hits: 0,
                 vals,
             });
         } else {
@@ -302,7 +270,6 @@ impl QueryMemo {
             e.dir = dir;
             e.t1 = t1 as u32;
             e.j1 = j1;
-            e.hits = 0;
             fill(&mut e.vals);
             self.next = (self.next + 1) % self.cap;
         }
@@ -315,186 +282,6 @@ impl QueryMemo {
                 .iter()
                 .map(|e| e.vals.capacity() * std::mem::size_of::<Pos>())
                 .sum::<usize>()
-    }
-}
-
-/// Reusable state of the batched group sweeps
-/// ([`PartialOrderIndex::reachable_batch`] and friends): the probe
-/// permutation plus one cursor per **chain pair** (slot `source·k +
-/// target`) over that pair's raw heap-entry row.
-///
-/// Within a group every bound the sweep presents is monotone — the
-/// source position descends (forward) or ascends (backward), and each
-/// chain's closure bound only tightens — so cursors replace *all* the
-/// per-relaxation `O(log n)` array descents, for the seed rows and the
-/// inner cascade alike. Each pair's row is then consumed at most once
-/// per group, making a group's total relaxation cost linear in its
-/// live entries rather than `O(log)` per relaxation step. Two cursor
-/// flavors, matching the two query shapes:
-///
-/// * **Forward** (`fwd_*`): a positional scan folding the running
-///   minimum of all entries at or after the bound — exactly
-///   [`SuffixMinima::suffix_min`](crate::suffix::SuffixMinima::suffix_min)
-///   of the row — extended backward as the bound descends.
-/// * **Backward** (`bw_*`): `argleq` qualifies entries by stored
-///   *value*, not position, so a positional scan cannot answer it.
-///   Instead the pair's live entries are copied into [`arena`] and
-///   re-sorted by value on first touch in a group; as the bound grows,
-///   newly qualifying entries are consumed in value order, folding the
-///   running maximum source position.
-///
-/// [`arena`]: BatchScratch::arena
-#[derive(Debug, Clone, Default)]
-struct BatchScratch {
-    /// Nontrivial probes as `(t1, j1, probe index)`, sorted into sweep
-    /// order; kept here so batched calls allocate nothing at steady
-    /// state.
-    order: Vec<(u32, Pos, u32)>,
-    /// Chain count latched by [`begin_group`](Self::begin_group); the
-    /// cursor tables hold `k²` slots.
-    k: usize,
-    /// Forward cursors: entries at `idx..` of the pair's row are
-    /// consumed and folded into `min`. Valid while `stamp` matches.
-    fwd_idx: Vec<u32>,
-    fwd_min: Vec<Pos>,
-    fwd_stamp: Vec<u32>,
-    /// Position of the pair's next unconsumed entry (`0` when the row
-    /// is exhausted): lets the sweeps skip a relaxation without even
-    /// loading the pair's row when no entry at or after the new bound
-    /// remains — the fold is then unchanged and was already applied.
-    fwd_next: Vec<Pos>,
-    /// Backward rows: `(stored value, source position)` of each live
-    /// entry of a touched pair, sorted by value, in
-    /// `arena[off .. off + len]`; rebuilt per group.
-    arena: Vec<(Pos, Pos)>,
-    bw_off: Vec<u32>,
-    bw_len: Vec<u32>,
-    /// Entries at `.. idx` of the pair's arena row are consumed and
-    /// folded into `best` (the max source position; [`INF`] = none).
-    bw_idx: Vec<u32>,
-    bw_best: Vec<Pos>,
-    bw_stamp: Vec<u32>,
-    /// Value of the pair's next unconsumed arena entry ([`INF`] when
-    /// exhausted): the backward dual of [`fwd_next`](Self::fwd_next).
-    bw_next: Vec<Pos>,
-    stamp: u32,
-}
-
-impl BatchScratch {
-    /// Starts a new source-chain group over `k` chains: invalidates
-    /// every cursor by stamp (lazily re-initialized on first touch)
-    /// and drops the previous group's backward rows.
-    fn begin_group(&mut self, k: usize) {
-        let slots = k * k;
-        if self.fwd_idx.len() < slots {
-            self.fwd_idx.resize(slots, 0);
-            self.fwd_min.resize(slots, 0);
-            self.fwd_stamp.resize(slots, 0);
-            self.fwd_next.resize(slots, 0);
-            self.bw_off.resize(slots, 0);
-            self.bw_len.resize(slots, 0);
-            self.bw_idx.resize(slots, 0);
-            self.bw_best.resize(slots, 0);
-            self.bw_stamp.resize(slots, 0);
-            self.bw_next.resize(slots, 0);
-        }
-        self.k = k;
-        self.arena.clear();
-        self.stamp = self.stamp.wrapping_add(1);
-        if self.stamp == 0 {
-            self.fwd_stamp.fill(0);
-            self.bw_stamp.fill(0);
-            self.stamp = 1;
-        }
-    }
-
-    #[inline]
-    fn slot(&self, src: usize, dst: usize) -> usize {
-        src * self.k + dst
-    }
-
-    /// The suffix minimum of `entries` (one pair's heap row, ascending
-    /// by position, tombstones included) at `bound`, advancing the
-    /// pair's cursor. Bounds must be presented in nonincreasing order
-    /// per pair within a group; dead entries (`min() == None`) are
-    /// skipped, so the fold reproduces the live suffix minima exactly.
-    fn fwd_advance(&mut self, slot: usize, entries: &[(Pos, MinMultiset)], bound: Pos) -> Pos {
-        if self.fwd_stamp[slot] != self.stamp {
-            self.fwd_stamp[slot] = self.stamp;
-            self.fwd_idx[slot] = entries.len() as u32;
-            self.fwd_min[slot] = INF;
-        }
-        let mut idx = self.fwd_idx[slot] as usize;
-        let mut m = self.fwd_min[slot];
-        while idx > 0 && entries[idx - 1].0 >= bound {
-            if let Some(v) = entries[idx - 1].1.min() {
-                m = m.min(v);
-            }
-            idx -= 1;
-        }
-        self.fwd_idx[slot] = idx as u32;
-        self.fwd_min[slot] = m;
-        self.fwd_next[slot] = if idx > 0 { entries[idx - 1].0 } else { 0 };
-        m
-    }
-
-    /// The latest source position in `entries` with a stored value at
-    /// or below `bound` ([`INF`] when none qualifies), advancing the
-    /// pair's value-sorted cursor — the cursor form of
-    /// [`SuffixMinima::argleq`](crate::suffix::SuffixMinima::argleq).
-    /// Bounds must be presented in nondecreasing order per pair within
-    /// a group.
-    fn bw_advance(&mut self, slot: usize, entries: &[(Pos, MinMultiset)], bound: Pos) -> Pos {
-        if self.bw_stamp[slot] != self.stamp {
-            self.bw_stamp[slot] = self.stamp;
-            let off = self.arena.len();
-            self.arena.extend(
-                entries
-                    .iter()
-                    .filter_map(|&(p, ref ms)| ms.min().map(|v| (v, p))),
-            );
-            self.arena[off..].sort_unstable();
-            self.bw_off[slot] = off as u32;
-            self.bw_len[slot] = (self.arena.len() - off) as u32;
-            self.bw_idx[slot] = 0;
-            self.bw_best[slot] = INF;
-        }
-        let off = self.bw_off[slot] as usize;
-        let len = self.bw_len[slot] as usize;
-        let mut idx = self.bw_idx[slot] as usize;
-        let mut best = self.bw_best[slot];
-        while idx < len && self.arena[off + idx].0 <= bound {
-            let p = self.arena[off + idx].1;
-            if best == INF || p > best {
-                best = p;
-            }
-            idx += 1;
-        }
-        self.bw_idx[slot] = idx as u32;
-        self.bw_best[slot] = best;
-        self.bw_next[slot] = if idx < len {
-            self.arena[off + idx].0
-        } else {
-            INF
-        };
-        best
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.order.capacity() * std::mem::size_of::<(u32, Pos, u32)>()
-            + (self.fwd_idx.capacity()
-                + self.fwd_stamp.capacity()
-                + self.bw_off.capacity()
-                + self.bw_len.capacity()
-                + self.bw_idx.capacity()
-                + self.bw_stamp.capacity())
-                * std::mem::size_of::<u32>()
-            + (self.fwd_min.capacity()
-                + self.fwd_next.capacity()
-                + self.bw_best.capacity()
-                + self.bw_next.capacity())
-                * std::mem::size_of::<Pos>()
-            + self.arena.capacity() * std::mem::size_of::<(Pos, Pos)>()
     }
 }
 
@@ -522,7 +309,6 @@ pub struct DynamicPo<S> {
     backward_edges: usize,
     scratch: RefCell<QueryScratch>,
     memo: RefCell<QueryMemo>,
-    batch: RefCell<BatchScratch>,
 }
 
 /// The paper's fully dynamic CSST: [`DynamicPo`] over
@@ -596,7 +382,7 @@ impl<S: SuffixMinima> DynamicPo<S> {
     /// bounds unconverged.
     fn forward_fixpoint(&self, t1: usize, j1: Pos, t2: usize, stop_at: Pos, exact: bool) -> Pos {
         let epoch = self.epoch;
-        if let Some(v) = self.memo.borrow_mut().lookup(epoch, Dir::Fwd, t1, j1, t2) {
+        if let Some(v) = self.memo.borrow().lookup(epoch, Dir::Fwd, t1, j1, t2) {
             return v;
         }
         let k = self.k();
@@ -665,7 +451,7 @@ impl<S: SuffixMinima> DynamicPo<S> {
     /// answers immediately.
     fn predecessor_raw(&self, t1: usize, j1: Pos, t2: usize) -> Option<Pos> {
         let epoch = self.epoch;
-        if let Some(v) = self.memo.borrow_mut().lookup(epoch, Dir::Bwd, t1, j1, t2) {
+        if let Some(v) = self.memo.borrow().lookup(epoch, Dir::Bwd, t1, j1, t2) {
             return (v != INF).then_some(v);
         }
         let k = self.k();
@@ -702,199 +488,6 @@ impl<S: SuffixMinima> DynamicPo<S> {
         let result = s.get(t2);
         self.memo.borrow_mut().store(epoch, Dir::Bwd, t1, j1, k, &s);
         result
-    }
-
-    /// Recomputes the closures of hot sources after an
-    /// [`PartialOrderIndex::insert_edges`] burst: every memo entry of
-    /// the just-closed epoch that served at least one query gets its
-    /// fixpoint rerun under the new epoch, so the following query burst
-    /// (the steady `hb`/`race` pattern: update burst, then many probes
-    /// from the same frontier nodes) hits the memo without paying a
-    /// propagation per probe.
-    ///
-    /// Each refresh runs the fixpoint with `t2 = t1`: the source chain
-    /// is never seeded (no self-edges exist) nor relaxed (the engines
-    /// skip `tp == t1`), so the run can never take an early exit — it
-    /// drains completely and therefore memoizes. Work per burst is
-    /// bounded by the memo capacity, and sources stay hot only while
-    /// they keep being queried every epoch (stored entries restart at
-    /// zero hits).
-    fn refresh_hot_sources(&mut self, closed_epoch: u64) {
-        let hot = self.memo.borrow().hot_sources(closed_epoch);
-        for (dir, t1, j1) in hot {
-            match dir {
-                Dir::Fwd => {
-                    self.forward_fixpoint(t1, j1, t1, 0, true);
-                }
-                Dir::Bwd => {
-                    self.predecessor_raw(t1, j1, t1);
-                }
-            }
-        }
-    }
-
-    /// Smallest source-chain group the batched sweeps take on
-    /// themselves; groups below `min(k, MIN_SWEEP_GROUP)` probes are
-    /// answered by the per-probe engine instead. A group sweep enters
-    /// by converging a full `k`-chain closure — roughly `k` times the
-    /// work of one early-exiting per-probe query — so it only pays off
-    /// once enough probes share the source chain to amortize that
-    /// entry cost.
-    const MIN_SWEEP_GROUP: usize = 8;
-
-    /// The forward group sweep behind
-    /// [`PartialOrderIndex::reachable_batch`] and
-    /// [`PartialOrderIndex::successor_batch`].
-    ///
-    /// `work` holds the nontrivial probes as `(t1, j1, probe index)`,
-    /// sorted by source chain and — within a chain — by **descending**
-    /// source position. Per source chain the closure array is reused in
-    /// place: a crossing path usable from position `j` is usable from
-    /// any `j' ≤ j` (its first hop only needs a source at or after the
-    /// departure position), so when the sweep steps down to the next
-    /// `j1` every stored bound is still witnessed and the worklist only
-    /// relaxes the delta. Seeds *and* inner relaxations read through the
-    /// per-pair entry cursors ([`BatchScratch::fwd_advance`]): every
-    /// chain's bound is nonincreasing within a group, so each pair's
-    /// heap row is consumed at most once per group and the group's
-    /// total relaxation cost is linear in its live entries instead of
-    /// `O(log n)` per relaxation step.
-    ///
-    /// Unlike the per-probe engine the sweep runs every fixpoint to
-    /// quiescence (no early exit — later probes of the group need the
-    /// other chains converged) and bypasses the memo: the group itself
-    /// is the amortization. Chaotic relaxation from witnessed upper
-    /// bounds with all seeds re-applied converges to the same least
-    /// fixpoint the per-probe engine computes, in both the Dijkstra and
-    /// the chaotic regime, so answers are identical (the property tests
-    /// pin this).
-    ///
-    /// `answer` is called once per work item, in `work` order, with the
-    /// probe index and the converged closure of that probe's source.
-    fn forward_batch_sweep(
-        &self,
-        work: &[(u32, Pos, u32)],
-        mut answer: impl FnMut(usize, &QueryScratch),
-    ) {
-        let k = self.k();
-        let mut s = self.scratch.borrow_mut();
-        let mut b = self.batch.borrow_mut();
-        let mut group: Option<u32> = None;
-        let mut at: Option<Pos> = None;
-        for &(t1u, j1, idx) in work {
-            let t1 = t1u as usize;
-            if group != Some(t1u) {
-                group = Some(t1u);
-                at = None;
-                s.begin(k);
-                b.begin_group(k);
-            }
-            if at != Some(j1) {
-                at = Some(j1);
-                for &t in self.heaps.out_neighbors(t1) {
-                    let t = t as usize;
-                    let sl = b.slot(t1, t);
-                    if b.fwd_stamp[sl] == b.stamp && b.fwd_next[sl] < j1 {
-                        continue; // fold unchanged and already applied
-                    }
-                    let v = b.fwd_advance(sl, self.heaps.pair(t1, t).entries(), j1);
-                    if v != INF && s.get(t).is_none_or(|cur| v < cur) {
-                        s.set(t, v);
-                        s.push(t);
-                    }
-                }
-                while let Some(t) = s.pop_min() {
-                    let base = s.vals[t];
-                    for &tp in self.heaps.out_neighbors(t) {
-                        let tp = tp as usize;
-                        if tp == t1 {
-                            continue;
-                        }
-                        let sl = b.slot(t, tp);
-                        if b.fwd_stamp[sl] == b.stamp && b.fwd_next[sl] < base {
-                            continue; // fold unchanged and already applied
-                        }
-                        let cur = s.get(tp).unwrap_or(INF);
-                        if cur == 0 {
-                            continue; // already minimal
-                        }
-                        let v = b.fwd_advance(sl, self.heaps.pair(t, tp).entries(), base);
-                        if v < cur {
-                            s.set(tp, v);
-                            s.push(tp);
-                        }
-                    }
-                }
-            }
-            answer(idx as usize, &s);
-        }
-    }
-
-    /// The backward dual of
-    /// [`forward_batch_sweep`](Self::forward_batch_sweep), behind
-    /// [`PartialOrderIndex::predecessor_batch`]: `work` is sorted by
-    /// source chain and **ascending** position (predecessor bounds only
-    /// grow as the source moves later). Seeds and inner relaxations
-    /// read through the value-sorted pair cursors
-    /// ([`BatchScratch::bw_advance`]) — the bound each pair sees is
-    /// nondecreasing within a group, so after the one-time per-group
-    /// value sort each row is consumed at most once per group.
-    fn backward_batch_sweep(
-        &self,
-        work: &[(u32, Pos, u32)],
-        mut answer: impl FnMut(usize, &QueryScratch),
-    ) {
-        let k = self.k();
-        let mut s = self.scratch.borrow_mut();
-        let mut b = self.batch.borrow_mut();
-        let mut group: Option<u32> = None;
-        let mut at: Option<Pos> = None;
-        for &(t1u, j1, idx) in work {
-            let t1 = t1u as usize;
-            if group != Some(t1u) {
-                group = Some(t1u);
-                at = None;
-                s.begin(k);
-                b.begin_group(k);
-            }
-            if at != Some(j1) {
-                at = Some(j1);
-                for &t in self.heaps.in_neighbors(t1) {
-                    let t = t as usize;
-                    let sl = b.slot(t, t1);
-                    if b.bw_stamp[sl] == b.stamp && b.bw_next[sl] > j1 {
-                        continue; // fold unchanged and already applied
-                    }
-                    let v = b.bw_advance(sl, self.heaps.pair(t, t1).entries(), j1);
-                    if v != INF && s.get(t).is_none_or(|cur| v > cur) {
-                        s.set(t, v);
-                        s.push(t);
-                    }
-                }
-                while let Some(t) = s.pop_max() {
-                    let base = s.vals[t];
-                    for &tp in self.heaps.in_neighbors(t) {
-                        let tp = tp as usize;
-                        if tp == t1 {
-                            continue;
-                        }
-                        let sl = b.slot(tp, t);
-                        if b.bw_stamp[sl] == b.stamp && b.bw_next[sl] > base {
-                            continue; // fold unchanged and already applied
-                        }
-                        let v = b.bw_advance(sl, self.heaps.pair(tp, t).entries(), base);
-                        if v == INF {
-                            continue;
-                        }
-                        if s.get(tp).is_none_or(|cur| v > cur) {
-                            s.set(tp, v);
-                            s.push(tp);
-                        }
-                    }
-                }
-            }
-            answer(idx as usize, &s);
-        }
     }
 
     /// The original dense `O(k³)` Bellman–Ford fixpoint of Algorithm 2,
@@ -983,7 +576,6 @@ impl<S: SuffixMinima> PartialOrderIndex for DynamicPo<S> {
             backward_edges: 0,
             scratch: RefCell::new(QueryScratch::default()),
             memo: RefCell::new(QueryMemo::new(DEFAULT_MEMO_CAPACITY)),
-            batch: RefCell::new(BatchScratch::default()),
         }
     }
 
@@ -999,7 +591,6 @@ impl<S: SuffixMinima> PartialOrderIndex for DynamicPo<S> {
             backward_edges: 0,
             scratch: RefCell::new(QueryScratch::default()),
             memo: RefCell::new(QueryMemo::new(DEFAULT_MEMO_CAPACITY)),
-            batch: RefCell::new(BatchScratch::default()),
         }
     }
 
@@ -1063,11 +654,7 @@ impl<S: SuffixMinima> PartialOrderIndex for DynamicPo<S> {
             self.edges += 1;
         }
         if !edges.is_empty() {
-            let closed = self.epoch;
             self.epoch += 1;
-            // Burst-path only: single-edge inserts stay refresh-free so
-            // fine-grained query/update interleavings pay nothing.
-            self.refresh_hot_sources(closed);
         }
     }
 
@@ -1136,150 +723,6 @@ impl<S: SuffixMinima> PartialOrderIndex for DynamicPo<S> {
         self.predecessor_raw(t1, from.pos, t2)
     }
 
-    /// Batched reachability as a forward group sweep (see
-    /// `DynamicPo::forward_batch_sweep`): probes are grouped by
-    /// source chain, swept in descending source position, and answered
-    /// from one in-place closure per group.
-    fn reachable_batch(&self, probes: &[(NodeId, NodeId)], out: &mut Vec<bool>) {
-        out.clear();
-        out.resize(probes.len(), false);
-        let k = self.k();
-        let mut work = std::mem::take(&mut self.batch.borrow_mut().order);
-        work.clear();
-        for (i, &(from, to)) in probes.iter().enumerate() {
-            if from.thread == to.thread {
-                out[i] = from.pos <= to.pos;
-            } else if from.thread.index() < k && to.thread.index() < k {
-                work.push((from.thread.0, from.pos, i as u32));
-            } // unwitnessed chains carry no edges: stays `false`
-        }
-        work.sort_unstable_by_key(|&(t1, j1, _)| (t1, std::cmp::Reverse(j1)));
-        // Small groups are better served by the per-probe engine (it
-        // keeps the memo and the bounded early exit); compact the
-        // large ones to the front and sweep only those.
-        let min_group = Self::MIN_SWEEP_GROUP.min(k.max(2));
-        let mut kept = 0usize;
-        let mut s = 0usize;
-        while s < work.len() {
-            let mut e = s + 1;
-            while e < work.len() && work[e].0 == work[s].0 {
-                e += 1;
-            }
-            if e - s >= min_group {
-                work.copy_within(s..e, kept);
-                kept += e - s;
-            } else {
-                for &(_, _, i) in &work[s..e] {
-                    let i = i as usize;
-                    let (from, to) = probes[i];
-                    out[i] = self.reachable(from, to);
-                }
-            }
-            s = e;
-        }
-        if kept > 0 {
-            self.forward_batch_sweep(&work[..kept], |i, s| {
-                let to = probes[i].1;
-                out[i] = s.get(to.thread.index()).is_some_and(|v| v <= to.pos);
-            });
-        }
-        self.batch.borrow_mut().order = work;
-    }
-
-    /// Batched successor queries over the same forward group sweep as
-    /// [`reachable_batch`](Self::reachable_batch); the converged
-    /// closure is exact, so each probe reads its earliest reachable
-    /// position directly.
-    fn successor_batch(&self, probes: &[(NodeId, ThreadId)], out: &mut Vec<Option<Pos>>) {
-        out.clear();
-        out.resize(probes.len(), None);
-        let k = self.k();
-        let mut work = std::mem::take(&mut self.batch.borrow_mut().order);
-        work.clear();
-        for (i, &(from, chain)) in probes.iter().enumerate() {
-            if from.thread == chain {
-                out[i] = Some(from.pos);
-            } else if from.thread.index() < k && chain.index() < k {
-                work.push((from.thread.0, from.pos, i as u32));
-            }
-        }
-        work.sort_unstable_by_key(|&(t1, j1, _)| (t1, std::cmp::Reverse(j1)));
-        let min_group = Self::MIN_SWEEP_GROUP.min(k.max(2));
-        let mut kept = 0usize;
-        let mut s = 0usize;
-        while s < work.len() {
-            let mut e = s + 1;
-            while e < work.len() && work[e].0 == work[s].0 {
-                e += 1;
-            }
-            if e - s >= min_group {
-                work.copy_within(s..e, kept);
-                kept += e - s;
-            } else {
-                for &(_, _, i) in &work[s..e] {
-                    let i = i as usize;
-                    let (from, chain) = probes[i];
-                    out[i] = self.successor(from, chain);
-                }
-            }
-            s = e;
-        }
-        if kept > 0 {
-            // INF is never stored in the scratch (seeds and
-            // relaxations only admit improving finite bounds), so a
-            // stamped value is always a real position.
-            self.forward_batch_sweep(&work[..kept], |i, s| {
-                out[i] = s.get(probes[i].1.index());
-            });
-        }
-        self.batch.borrow_mut().order = work;
-    }
-
-    /// Batched predecessor queries: the backward group sweep
-    /// (`DynamicPo::backward_batch_sweep`), ascending in source
-    /// position.
-    fn predecessor_batch(&self, probes: &[(NodeId, ThreadId)], out: &mut Vec<Option<Pos>>) {
-        out.clear();
-        out.resize(probes.len(), None);
-        let k = self.k();
-        let mut work = std::mem::take(&mut self.batch.borrow_mut().order);
-        work.clear();
-        for (i, &(from, chain)) in probes.iter().enumerate() {
-            if from.thread == chain {
-                out[i] = Some(from.pos);
-            } else if from.thread.index() < k && chain.index() < k {
-                work.push((from.thread.0, from.pos, i as u32));
-            }
-        }
-        work.sort_unstable_by_key(|&(t1, j1, _)| (t1, j1));
-        let min_group = Self::MIN_SWEEP_GROUP.min(k.max(2));
-        let mut kept = 0usize;
-        let mut s = 0usize;
-        while s < work.len() {
-            let mut e = s + 1;
-            while e < work.len() && work[e].0 == work[s].0 {
-                e += 1;
-            }
-            if e - s >= min_group {
-                work.copy_within(s..e, kept);
-                kept += e - s;
-            } else {
-                for &(_, _, i) in &work[s..e] {
-                    let i = i as usize;
-                    let (from, chain) = probes[i];
-                    out[i] = self.predecessor(from, chain);
-                }
-            }
-            s = e;
-        }
-        if kept > 0 {
-            self.backward_batch_sweep(&work[..kept], |i, s| {
-                out[i] = s.get(probes[i].1.index());
-            });
-        }
-        self.batch.borrow_mut().order = work;
-    }
-
     fn supports_deletion(&self) -> bool {
         true
     }
@@ -1295,7 +738,6 @@ impl<S: SuffixMinima> PartialOrderIndex for DynamicPo<S> {
             + self.heaps.memory_bytes()
             + self.scratch.borrow().memory_bytes()
             + self.memo.borrow().memory_bytes()
-            + self.batch.borrow().memory_bytes()
     }
 }
 
@@ -1631,32 +1073,6 @@ mod tests {
     }
 
     #[test]
-    fn hot_source_refresh_is_transparent() {
-        let mut po = Csst::with_capacity(3, 100);
-        po.insert_edges(&[(n(0, 10), n(1, 20)), (n(1, 25), n(2, 30))])
-            .unwrap();
-        // Make both directions of a source hot: the second query of
-        // each pair is served by the memo and bumps the hit counter.
-        for _ in 0..2 {
-            assert_eq!(po.successor(n(0, 5), ThreadId(2)), Some(30));
-            assert_eq!(po.predecessor(n(2, 45), ThreadId(0)), Some(10));
-        }
-        // Bursts refresh hot closures under the new epoch; answers must
-        // track the new edges exactly (the refresh is transparent).
-        po.insert_edges(&[(n(1, 21), n(2, 24))]).unwrap();
-        assert_eq!(po.successor(n(0, 5), ThreadId(2)), Some(24));
-        assert_eq!(po.predecessor(n(2, 45), ThreadId(0)), Some(10));
-        po.insert_edges(&[(n(0, 11), n(2, 44))]).unwrap();
-        assert_eq!(po.successor(n(0, 5), ThreadId(2)), Some(24));
-        assert_eq!(po.predecessor(n(2, 45), ThreadId(0)), Some(11));
-        // A burst with nothing hot (fresh epoch, no queries since) is
-        // still correct.
-        po.insert_edges(&[(n(0, 1), n(1, 2))]).unwrap();
-        po.insert_edges(&[(n(1, 3), n(2, 4))]).unwrap();
-        assert_eq!(po.successor(n(0, 0), ThreadId(2)), Some(4));
-    }
-
-    #[test]
     fn memo_serves_bursts_and_rolls_with_the_epoch() {
         let mut po = Csst::with_capacity(3, 50);
         po.insert_edge(n(0, 10), n(1, 20)).unwrap();
@@ -1819,8 +1235,8 @@ mod worklist_engine {
                 }
             }
             // The whole probe grid again through the batched API, at
-            // this same (freshly rolled) epoch: group sweeps must agree
-            // with the per-probe engine, memo on or off.
+            // this same (freshly rolled) epoch: batched answers must
+            // agree with the per-probe engine, memo on or off.
             let (mut bs, mut bp, mut br) = (Vec::new(), Vec::new(), Vec::new());
             for po in [&memoized, &bare] {
                 po.successor_batch(&node_probes, &mut bs);

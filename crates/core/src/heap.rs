@@ -226,20 +226,6 @@ impl PairHeaps {
         }
     }
 
-    /// The raw position-sorted entry slice, **tombstones included**
-    /// (an entry whose heap is empty — `min() == None` — holds no live
-    /// edge and must be skipped).
-    ///
-    /// This is the batched query engine's amortized window into the
-    /// pair: a cursor folding `min()` over a descending scan of this
-    /// slice computes the same suffix minima as the SST array, one
-    /// entry visit per scan step instead of one tree descent per
-    /// probe.
-    #[inline]
-    pub(crate) fn entries(&self) -> &[(Pos, MinMultiset)] {
-        &self.entries
-    }
-
     /// Exact heap footprint: the entry vector plus every spilled heap.
     pub(crate) fn memory_bytes(&self) -> usize {
         self.entries.capacity() * std::mem::size_of::<(Pos, MinMultiset)>()
@@ -364,21 +350,6 @@ impl EdgeHeapStore {
     #[inline]
     pub(crate) fn in_neighbors(&self, t2: usize) -> &[u32] {
         self.in_adj.get(t2).map_or(&[], Vec::as_slice)
-    }
-
-    /// The heaps of pair `(t1, t2)`, for the batched query engine's
-    /// entry cursors. Out-of-stride pairs read as a shared empty pair.
-    #[inline]
-    pub(crate) fn pair(&self, t1: usize, t2: usize) -> &PairHeaps {
-        static EMPTY: PairHeaps = PairHeaps {
-            entries: Vec::new(),
-            tombs: 0,
-        };
-        if t1 < self.kslots && t2 < self.kslots {
-            &self.pairs[t1 * self.kslots + t2]
-        } else {
-            &EMPTY
-        }
     }
 
     /// Exact heap footprint: the slot vector, every pair's heaps, and
@@ -557,39 +528,6 @@ mod tests {
         let s = EdgeHeapStore::new();
         assert!(s.out_neighbors(3).is_empty());
         assert!(s.in_neighbors(0).is_empty());
-    }
-
-    #[test]
-    fn entries_expose_tombstones_for_cursor_scans() {
-        let mut p = PairHeaps::default();
-        p.insert(1, 10);
-        p.insert(2, 20);
-        p.insert(3, 30);
-        p.remove(2, 20); // tombstoned, still present in the raw slice
-        let es = p.entries();
-        assert_eq!(es.len(), 3);
-        assert_eq!(es[1].0, 2);
-        assert_eq!(es[1].1.min(), None, "tombstone reads as empty");
-        // A descending fold over the slice, skipping empty heaps,
-        // reproduces the suffix minima.
-        let suffix_min = |from: Pos| {
-            es.iter()
-                .filter(|e| e.0 >= from)
-                .filter_map(|e| e.1.min())
-                .min()
-        };
-        assert_eq!(suffix_min(0), Some(10));
-        assert_eq!(suffix_min(2), Some(30));
-    }
-
-    #[test]
-    fn store_pair_accessor_handles_out_of_stride() {
-        let mut s = EdgeHeapStore::new();
-        s.sync_kslots(2);
-        s.insert(0, 1, 7, 3);
-        assert_eq!(s.pair(0, 1).live_count(), 1);
-        assert_eq!(s.pair(1, 0).live_count(), 0);
-        assert_eq!(s.pair(9, 9).live_count(), 0, "out of stride: empty");
     }
 
     #[test]

@@ -98,31 +98,6 @@ impl<S: SuffixMinima> IncrementalPo<S> {
         self.arrays.get(t2, t1).argleq(j1).map(|p| p as Pos)
     }
 
-    /// Classifies a probe slice for the batched query overrides:
-    /// same-chain and unwitnessed probes are answered inline through
-    /// `trivial`, the rest come back as `(t1, t2, probe index)` sorted
-    /// by chain pair so consecutive lookups hit the same suffix-minima
-    /// array.
-    fn pair_order<P: Copy>(
-        &self,
-        probes: &[P],
-        chains: impl Fn(P) -> (usize, usize),
-        mut trivial: impl FnMut(usize, P),
-    ) -> Vec<(u32, u32, u32)> {
-        let k = self.k();
-        let mut work = Vec::new();
-        for (i, &p) in probes.iter().enumerate() {
-            let (t1, t2) = chains(p);
-            if t1 == t2 || t1 >= k || t2 >= k {
-                trivial(i, p);
-            } else {
-                work.push((t1 as u32, t2 as u32, i as u32));
-            }
-        }
-        work.sort_unstable_by_key(|&(t1, t2, _)| (t1, t2));
-        work
-    }
-
     /// Re-sizes the pair adjacency after the matrix grew (amortized
     /// doubling, mirroring the matrix stride). No-op otherwise.
     fn sync_adj(&mut self) {
@@ -307,73 +282,6 @@ impl<S: SuffixMinima> PartialOrderIndex for IncrementalPo<S> {
             return None;
         }
         self.predecessor_raw(t1, from.pos, t2)
-    }
-
-    /// Batched reachability. Each probe is already a single
-    /// `O(log p)` suffix-minima lookup here (the closure is maintained
-    /// eagerly on insert), so unlike [`DynamicPo`](crate::DynamicPo)
-    /// there is no shared propagation to amortize; the override
-    /// answers trivial probes inline and groups the rest by chain pair
-    /// so consecutive lookups walk the same array.
-    fn reachable_batch(&self, probes: &[(NodeId, NodeId)], out: &mut Vec<bool>) {
-        out.clear();
-        out.resize(probes.len(), false);
-        let work = self.pair_order(
-            probes,
-            |(from, to)| (from.thread.index(), to.thread.index()),
-            |i, (from, to)| {
-                if from.thread == to.thread {
-                    out[i] = from.pos <= to.pos;
-                }
-            },
-        );
-        for &(t1, t2, i) in &work {
-            let (from, to) = probes[i as usize];
-            out[i as usize] = self.successor_raw(t1 as usize, from.pos, t2 as usize) <= to.pos;
-        }
-    }
-
-    /// Batched successor probes; same locality-only story as
-    /// [`reachable_batch`](Self::reachable_batch).
-    fn successor_batch(&self, probes: &[(NodeId, ThreadId)], out: &mut Vec<Option<Pos>>) {
-        out.clear();
-        out.resize(probes.len(), None);
-        let work = self.pair_order(
-            probes,
-            |(from, chain)| (from.thread.index(), chain.index()),
-            |i, (from, chain)| {
-                if from.thread == chain {
-                    out[i] = Some(from.pos);
-                }
-            },
-        );
-        for &(t1, t2, i) in &work {
-            let (from, _) = probes[i as usize];
-            out[i as usize] = match self.successor_raw(t1 as usize, from.pos, t2 as usize) {
-                INF => None,
-                v => Some(v),
-            };
-        }
-    }
-
-    /// Batched predecessor probes; same locality-only story as
-    /// [`reachable_batch`](Self::reachable_batch).
-    fn predecessor_batch(&self, probes: &[(NodeId, ThreadId)], out: &mut Vec<Option<Pos>>) {
-        out.clear();
-        out.resize(probes.len(), None);
-        let work = self.pair_order(
-            probes,
-            |(from, chain)| (from.thread.index(), chain.index()),
-            |i, (from, chain)| {
-                if from.thread == chain {
-                    out[i] = Some(from.pos);
-                }
-            },
-        );
-        for &(t1, t2, i) in &work {
-            let (from, _) = probes[i as usize];
-            out[i as usize] = self.predecessor_raw(t1 as usize, from.pos, t2 as usize);
-        }
     }
 
     fn memory_bytes(&self) -> usize {

@@ -355,11 +355,12 @@ pub trait PartialOrderIndex: Send {
     ///
     /// Semantically identical to issuing every probe through
     /// `reachable` — the property tests pin batched == sequential for
-    /// every representation. Structures whose per-probe query performs
-    /// a closure override this to *group probes by source chain* and
-    /// answer a whole group from one amortized sweep (the fully
-    /// dynamic CSSTs share one worklist pass, the graph baseline one
-    /// traversal, per distinct source node).
+    /// every representation. The default answers per probe, which is
+    /// what every representation except [`GraphIndex`] uses; the graph
+    /// baseline overrides it to share one traversal per distinct
+    /// source node.
+    ///
+    /// [`GraphIndex`]: crate::GraphIndex
     ///
     /// The out-parameter style keeps the hot path allocation-lean:
     /// callers reuse one `Vec` across batches.
@@ -390,10 +391,8 @@ pub trait PartialOrderIndex: Send {
     /// appending one `Option<Pos>` per probe to `out` (in probe order,
     /// after clearing `out`).
     ///
-    /// Same contract and amortization story as
-    /// [`reachable_batch`](Self::reachable_batch): batched answers are
-    /// identical to per-probe answers, and closure-based structures
-    /// share one propagation per distinct source across the batch.
+    /// Same contract as [`reachable_batch`](Self::reachable_batch):
+    /// batched answers are identical to per-probe answers.
     ///
     /// ```
     /// use csst_core::{Csst, NodeId, PartialOrderIndex, ThreadId};

@@ -742,7 +742,7 @@ fn run_query_engine_script(k: u32, cap: u32, ops: &[PoOp], forward_only: bool) {
                 }
             }
         }
-        // The same grid through the batched sweeps, with the memo both
+        // The same grid through the batched API, with the memo both
         // hot (memoized, just warmed by the sequential queries above)
         // and disabled (bare).
         assert_batched_matches_sequential(&memoized, k, cap);
@@ -751,11 +751,12 @@ fn run_query_engine_script(k: u32, cap: u32, ops: &[PoOp], forward_only: bool) {
     }
 }
 
-/// Exercises the batched sweeps beyond the bitset frontier width: with
-/// `k > MAX_BITSET_CHAINS` the worklist takes the stamped-list fallback
-/// path. Edges are applied in `insert_edges` bursts so query epochs
-/// roll mid-script and the hot-source memo refresh runs between
-/// checkpoints.
+/// Pins the per-probe engine beyond the bitset frontier width to the
+/// oracle: with `k > MAX_BITSET_CHAINS` the worklist takes the
+/// stamped-list fallback path. Edges are applied in `insert_edges`
+/// bursts so query epochs roll mid-script; after every burst the whole
+/// query grid is checked against `NaiveIndex`, one probe at a time and
+/// through the batched API.
 fn run_wide_k_batched_script(k: u32, cap: u32, ops: &[PoOp]) {
     let mut po = Csst::new();
     let mut naive = NaiveIndex::new();
@@ -778,15 +779,37 @@ fn run_wide_k_batched_script(k: u32, cap: u32, ops: &[PoOp]) {
             burst.push((u, v));
         }
         po.insert_edges(&burst).unwrap(); // rolls the query epoch
+        assert_grid_matches_oracle(&po, &naive, k, cap);
         assert_batched_matches_sequential(&po, k, cap);
-        // Spot-check the sequential path against the oracle so the
-        // batched comparison above is anchored to ground truth.
-        for &(u, v) in &burst {
-            assert!(po.reachable(u, v));
-            assert_eq!(
-                po.successor(u, ThreadId(v.thread.0)),
-                naive.successor(u, ThreadId(v.thread.0))
-            );
+    }
+}
+
+/// Checks `successor`, `predecessor` and `reachable` of `po` against
+/// the oracle on the query grid of
+/// [`assert_batched_matches_sequential`], unwitnessed chains included.
+fn assert_grid_matches_oracle<P: PartialOrderIndex>(po: &P, oracle: &NaiveIndex, k: u32, cap: u32) {
+    for t1 in 0..=k {
+        for j1 in (0..cap).step_by(3) {
+            let u = NodeId::new(t1, j1);
+            for t2 in 0..=k {
+                let c = ThreadId(t2);
+                assert_eq!(
+                    po.successor(u, c),
+                    oracle.successor(u, c),
+                    "successor({u}, {c})"
+                );
+                assert_eq!(
+                    po.predecessor(u, c),
+                    oracle.predecessor(u, c),
+                    "predecessor({u}, {c})"
+                );
+                let v = NodeId::new(t2, (j1 * 7 + t2) % cap);
+                assert_eq!(
+                    po.reachable(u, v),
+                    oracle.reachable(u, v),
+                    "reachable({u}, {v})"
+                );
+            }
         }
     }
 }
@@ -817,7 +840,7 @@ proptest! {
     #[test]
     fn wide_k_batched_matches_sequential(ops in po_ops(66, 6, false)) {
         // 66 chains > MAX_BITSET_CHAINS (64): the stamped-list
-        // fallback frontier, not the u64 bitset, drives the sweeps.
+        // fallback frontier, not the u64 bitset, answers every probe.
         run_wide_k_batched_script(66, 6, &ops);
     }
 }

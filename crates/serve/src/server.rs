@@ -126,24 +126,6 @@ fn parse_ordered_query(q: &str) -> Option<(NodeId, NodeId)> {
     Some((NodeId::new(t1, p1), NodeId::new(t2, p2)))
 }
 
-/// Formats an hb report exactly like the batch registry entry, from
-/// either the sharded or the sequential detector's results.
-fn hb_report(races: &[(NodeId, NodeId)], sync_edges: usize) -> Report {
-    Report {
-        exit_code: (!races.is_empty()) as u8,
-        summary: format!(
-            "{} hb-race(s); {} synchronization edge(s)",
-            races.len(),
-            sync_edges
-        ),
-        lines: races
-            .iter()
-            .take(20)
-            .map(|(a, b)| format!("hb-race between {a} and {b}"))
-            .collect(),
-    }
-}
-
 /// The hb session engine: normally the sharded pipeline, with the
 /// sequential [`HbDetector`] as the degraded mode a worker panic falls
 /// back to. The event stream is buffered (the price of the fallback:
@@ -255,7 +237,7 @@ impl<P: PartialOrderIndex + 'static> SessionEngine for HbEngine<P> {
     fn finish(mut self: Box<Self>) -> Result<Report, ServeError> {
         if self.degraded.is_none() {
             match self.hb.take().expect("sharded engine").finish() {
-                Ok(r) => return Ok(hb_report(&r.races, r.sync_edges)),
+                Ok(r) => return Ok(report_from(registry::hb_report(&r.races, r.sync_edges))),
                 Err(e @ ServeError::WorkerPanic(_)) => {
                     self.degrade(&e);
                 }
@@ -264,7 +246,7 @@ impl<P: PartialOrderIndex + 'static> SessionEngine for HbEngine<P> {
         }
         let det = self.degraded.take().expect("degraded detector");
         let r = det.finish();
-        Ok(hb_report(&r.races, r.sync_edges))
+        Ok(report_from(registry::hb_report(&r.races, r.sync_edges)))
     }
 }
 
@@ -291,20 +273,7 @@ impl<P: PartialOrderIndex> SessionEngine for RaceEngine<P> {
 
     fn finish(self: Box<Self>) -> Result<Report, ServeError> {
         let r = self.race.finish()?;
-        // Mirrors the registry's race formatting exactly.
-        Ok(Report {
-            exit_code: (!r.races.is_empty()) as u8,
-            summary: format!(
-                "{} race(s) predicted from {} candidate(s)",
-                r.races.len(),
-                r.candidates
-            ),
-            lines: r
-                .races
-                .iter()
-                .map(|(a, b)| format!("race between {a} and {b}"))
-                .collect(),
-        })
+        Ok(report_from(registry::race_report(&r.races, r.candidates)))
     }
 }
 

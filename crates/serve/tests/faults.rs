@@ -178,6 +178,42 @@ fn injected_frame_corruption_is_a_decode_error() {
     handle.join().unwrap().expect("server exits cleanly");
 }
 
+/// A text EVENTS frame naming a thread id beyond the decoders' bound
+/// is a `decode:` ERROR for that session only. Honoring the id would
+/// size the thread table to 4·10⁹ chains, an allocation failure that
+/// aborts the whole server rather than unwinding one session.
+#[test]
+fn huge_text_thread_id_is_a_decode_error_and_spares_the_server() {
+    let (addr, handle) = spawn_server_with(ServerCfg::default());
+    let text_hello = Hello {
+        format: WireFormat::Text,
+        ..Hello::default()
+    };
+
+    let mut client = Client::open(&addr, &text_hello).expect("open text session");
+    client
+        .send_events_raw(b"t4000000000 w x0 1\n")
+        .expect("the frame is delivered");
+    let err = client.finish().unwrap_err();
+    assert!(err.to_string().starts_with("decode:"), "{err}");
+    assert!(err.to_string().contains("line 1"), "{err}");
+
+    // A second session on the same server still matches batch.
+    let mut client = Client::open(&addr, &text_hello).expect("open second session");
+    client
+        .send_trace(&registry::find("hb").unwrap().demo_trace())
+        .expect("send");
+    let report = client.finish().expect("hb report");
+    let (code, summary, lines) = batch_hb_report();
+    assert_eq!(
+        (report.exit_code, report.summary, report.lines),
+        (code, summary, lines)
+    );
+
+    Client::shutdown_server(&addr).expect("shutdown");
+    handle.join().unwrap().expect("server exits cleanly");
+}
+
 /// A session the server already closed with a structured ERROR must
 /// report that ERROR at the next QUERY, not the bare broken pipe or
 /// connection reset that the QUERY's write runs into.

@@ -35,12 +35,12 @@ pub const VERSION: u8 = 1;
 /// Largest legal record body (the `AtomicRmw` record: kind + thread +
 /// var + order + two u64 values). Anything larger is corrupt.
 pub const MAX_RECORD: usize = 1 + 4 + 4 + 1 + 8 + 8;
-/// Largest plausible header thread count. The header field is a
-/// pre-sizing hint (records carry their own thread ids and the trace
-/// grows on demand), so a corrupt count must be rejected *before* it
-/// turns into a multi-gigabyte allocation — found by the corruption
-/// property tests.
-pub const MAX_THREADS: usize = 1 << 20;
+/// Largest plausible header thread count and exclusive bound on
+/// record thread ids. The header field is a pre-sizing hint (records
+/// carry their own thread ids and the trace grows on demand), so a
+/// corrupt count must be rejected *before* it turns into a
+/// multi-gigabyte allocation — found by the corruption property tests.
+pub use crate::trace::MAX_THREADS;
 
 /// A malformed-input diagnosis; `offset` is the byte position of the
 /// record (or field) that failed.

@@ -26,7 +26,7 @@
 //! consumed by the tools the paper evaluates.
 
 use crate::event::{EventKind, LockId, MemOrder, Method, ObjId, OpId, VarId};
-use crate::trace::Trace;
+use crate::trace::{Trace, MAX_THREADS};
 use csst_core::ThreadId;
 use std::error::Error;
 use std::fmt;
@@ -84,7 +84,14 @@ pub fn parse(input: &str) -> Result<Trace, ParseError> {
         if toks.len() < 2 {
             return Err(err(lineno, "expected `<thread> <op> [args...]`"));
         }
-        let t = ThreadId(parse_id(toks[0], "t", lineno)?);
+        let t = parse_id(toks[0], "t", lineno)?;
+        if t as usize >= MAX_THREADS {
+            return Err(err(
+                lineno,
+                format!("thread id t{t} out of range (max t{})", MAX_THREADS - 1),
+            ));
+        }
+        let t = ThreadId(t);
         let need = |n: usize| -> Result<(), ParseError> {
             if toks.len() != n {
                 Err(err(
@@ -284,6 +291,18 @@ t0 fence sc
 t0 inv op0 add 5
 t0 res op0 1
 ";
+
+    #[test]
+    fn rejects_thread_ids_beyond_max_threads() {
+        // Honoring the id would size the thread table to 4·10⁹ chains.
+        let e = parse("t4000000000 w x0 1").unwrap_err();
+        assert_eq!(e.line, 1);
+        assert!(e.message.contains("out of range"), "{e}");
+        let last = format!("t{} w x0 1", MAX_THREADS - 1);
+        assert!(parse(&format!("t0 w x0 1\n{last}")).is_ok());
+        let first_bad = format!("t0 w x0 1\nt{} w x0 1", MAX_THREADS);
+        assert_eq!(parse(&first_bad).unwrap_err().line, 2);
+    }
 
     #[test]
     fn parse_all_event_kinds() {

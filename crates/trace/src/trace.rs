@@ -4,6 +4,13 @@ use crate::event::{Event, EventKind, LockId, VarId};
 use csst_core::{NodeId, ThreadId};
 use std::collections::HashMap;
 
+/// Exclusive upper bound on event thread ids every trace decoder
+/// accepts. A thread id sizes the trace's thread table
+/// ([`Trace::push`] grows it to `id + 1` chains), so a corrupt or
+/// hostile id must be rejected *before* it turns into a
+/// multi-gigabyte allocation.
+pub const MAX_THREADS: usize = 1 << 20;
+
 /// A concurrent execution trace: per-thread event chains plus the
 /// observed total order.
 ///
