@@ -271,8 +271,8 @@ pub struct HbDetector<P> {
 
 impl<P: PartialOrderIndex> HbDetector<P> {
     /// The happens-before index built so far (for online ordering
-    /// queries against the live detector — `csst-serve`'s degraded
-    /// mode answers `ordered` queries from here).
+    /// queries against the live detector — `csst-serve`'s hb sessions
+    /// answer `ordered` queries from here).
     pub fn index(&self) -> &P {
         &self.hb
     }

@@ -18,7 +18,8 @@
 //! worker count — the multi-core ingest scaling figure; on a
 //! single-core machine the curve is flat (or slightly inverted, paying
 //! the channel overhead), so read it together with the host's core
-//! count. The machine-readable JSON this
+//! count and with `hb_seq`, the same program through the sequential
+//! `HbDetector`. The machine-readable JSON this
 //! module emits (`BENCH_PR7.json` via `scripts/bench.sh`) is the perf
 //! trajectory future PRs are compared against
 //! (`scripts/bench.sh --compare OLD.json NEW.json` diffs two runs and
@@ -30,12 +31,13 @@
 //! harness itself exercised in CI without measuring anything
 //! meaningful.
 
+use csst_analyses::hb;
 use csst_core::{
     AnchoredVectorClockIndex, Csst, GraphIndex, IncrementalCsst, NodeId, PartialOrderIndex,
     SegTreeIndex, VectorClockIndex,
 };
 use csst_serve::{ShardCfg, ShardedHb};
-use csst_trace::gen;
+use csst_trace::{gen, Trace};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::time::Instant;
@@ -535,14 +537,57 @@ fn run_query_update<P: PartialOrderIndex>(
     )
 }
 
+/// The racy program every point of the ingest sweep streams: the same
+/// trace at every shard count and for the sequential point, so the
+/// sweep compares engines, not inputs.
+fn ingest_trace(cfg: &BenchCfg) -> Trace {
+    let threads = 8usize;
+    gen::racy_program(&gen::RacyProgramCfg {
+        threads,
+        events_per_thread: (cfg.ingest_events / threads).max(1),
+        vars: 16,
+        lock_frac: 0.3,
+        shared_frac: 0.5,
+        seed: 0x5EED,
+        ..Default::default()
+    })
+}
+
+/// The sequential point of the ingest sweep (`hb_seq`): the sweep's
+/// racy program streamed through [`hb::HbDetector`] on the calling thread,
+/// the engine `csst-serve` runs hb sessions on. Ops are trace events;
+/// memory is the final index footprint.
+fn run_hb_seq<P: PartialOrderIndex>(
+    cfg: &BenchCfg,
+    repr: &'static str,
+    display: &'static str,
+) -> Measurement {
+    let trace = ingest_trace(cfg);
+    let start = Instant::now();
+    let report = hb::detect::<P>(&trace);
+    let elapsed = start.elapsed().as_nanos();
+    std::hint::black_box(report.races.len());
+    let mem = report.hb.memory_bytes();
+    measurement(
+        "hb_seq",
+        repr,
+        display,
+        trace.total_events(),
+        elapsed,
+        mem,
+        mem,
+    )
+}
+
 /// One point of the shard sweep (`ingest_shards{1,2,4,8}`): a
 /// generated racy program streamed end-to-end through the sharded HB
 /// pipeline at `shards` worker threads (router + workers, watermark
-/// protocol, final merge — the whole `csst-serve` ingest path). Ops
-/// are trace events; memory is the summed per-shard replica footprint
-/// reported by the workers plus the router's own index. Scaling with
-/// the shard count needs real cores: on a one-core host every point
-/// costs the same CPU and the extra shards only add channel overhead.
+/// protocol, final merge). Ops are trace events; memory is the summed
+/// per-shard replica footprint reported by the workers plus the
+/// router's own index. Scaling with the shard count needs real cores:
+/// on a one-core host every point costs the same CPU and the extra
+/// shards only add channel overhead. `hb_seq` is the sequential
+/// point to read it against.
 fn run_ingest_shards<P: PartialOrderIndex + 'static>(
     cfg: &BenchCfg,
     repr: &'static str,
@@ -550,18 +595,7 @@ fn run_ingest_shards<P: PartialOrderIndex + 'static>(
     shards: usize,
     workload: &'static str,
 ) -> Measurement {
-    let threads = 8usize;
-    let trace = gen::racy_program(&gen::RacyProgramCfg {
-        threads,
-        events_per_thread: (cfg.ingest_events / threads).max(1),
-        vars: 16,
-        lock_frac: 0.3,
-        shared_frac: 0.5,
-        // Same trace at every shard count: the sweep compares worker
-        // counts, not inputs.
-        seed: 0x5EED,
-        ..Default::default()
-    });
+    let trace = ingest_trace(cfg);
     let start = Instant::now();
     let report = ShardedHb::<P>::run(&trace, ShardCfg::with_shards(shards))
         .expect("no faults injected: the sharded pipeline cannot fail here");
@@ -631,6 +665,11 @@ pub fn run(cfg: &BenchCfg) -> Vec<Measurement> {
         );
         out.extend(all_reprs!(run_query_batch, b, name));
     }
+    eprintln!(
+        "# bench: hb_seq ({} events through the sequential detector)…",
+        cfg.ingest_events
+    );
+    out.extend(all_reprs!(run_hb_seq));
     for (s, name) in [
         (1usize, "ingest_shards1"),
         (2, "ingest_shards2"),
@@ -753,8 +792,8 @@ mod tests {
             smoke: true,
         };
         let ms = run(&cfg);
-        // 17 workloads × 6 representations.
-        assert_eq!(ms.len(), 102);
+        // 18 workloads × 6 representations.
+        assert_eq!(ms.len(), 108);
         for m in &ms {
             if m.supported {
                 assert!(
@@ -780,6 +819,7 @@ mod tests {
             "query_batch1",
             "query_batch16",
             "query_batch256",
+            "hb_seq",
             "ingest_shards1",
             "ingest_shards2",
             "ingest_shards4",

@@ -10,9 +10,11 @@
 //!   end one session with a structured ERROR frame; every other session
 //!   and the server itself keep running;
 //! * **component-fatal** errors ([`WorkerPanic`](ServeError::WorkerPanic))
-//!   kill one shard worker; the owning engine degrades to its
-//!   sequential fallback and the session still produces a correct
-//!   report;
+//!   report a panic caught at a worker or session boundary. A race
+//!   witness worker's panic is recovered inside the engine (the chunk
+//!   is re-checked sequentially), so the session still produces a
+//!   correct report; any other panic ends its session with a `panic:`
+//!   ERROR;
 //! * **recoverable** errors ([`Query`](ServeError::Query)) answer one
 //!   frame with an ERROR reply and leave the session open.
 //!

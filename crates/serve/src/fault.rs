@@ -9,22 +9,28 @@
 //! environment variable):
 //!
 //! ```text
-//! panic-worker=<slot>@<n>      hb shard worker <slot> panics on its <n>th message
 //! panic-witness=<slot>@<n>     race witness worker <slot> panics on its <n>th check
-//! delay-send=<slot>@<n>:<ms>   the <n>th batch sent to shard <slot> is delayed <ms> ms
-//! drop-send=<slot>@<n>         the <n>th batch sent to shard <slot> is dropped
 //! corrupt-events=<n>           the <n>th EVENTS payload is corrupted (seeded byte
 //!                              flip + clobbered record header)
 //! reset-conn=<n>               the connection is reset after <n> frames are read
+//! panic-worker=<slot>@<n>      ShardedHb worker <slot> panics on its <n>th message
+//! delay-send=<slot>@<n>:<ms>   the <n>th batch sent to ShardedHb shard <slot> is
+//!                              delayed <ms> ms
+//! drop-send=<slot>@<n>         the <n>th batch sent to ShardedHb shard <slot> is dropped
 //! seed=<s>                     xorshift seed for the corrupt-byte choice
 //! ```
 //!
+//! The first three fire in `csst-serve` sessions. `panic-worker`,
+//! `delay-send` and `drop-send` fire only inside the library
+//! [`ShardedHb`](crate::ShardedHb) pipeline, which no session runs (hb
+//! sessions use the sequential detector); its unit tests use them.
+//!
 //! Items are comma-separated; counts are 1-based. Every trigger fires
 //! **exactly once** (atomic occurrence counters shared across clones),
-//! which is what makes degraded-mode recovery testable: after the
-//! injected worker panic, the sequential replay of the same events does
-//! not re-fire the fault. All randomness is a seeded xorshift — two
-//! runs with the same plan and the same traffic inject the same faults.
+//! which is what makes recovery testable: after an injected witness
+//! panic, the sequential re-check of the same chunk does not re-fire
+//! the fault. All randomness is a seeded xorshift — two runs with the
+//! same plan and the same traffic inject the same faults.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -41,8 +41,13 @@
 //! [`ServeError`] instead of panicking: sends time out into
 //! [`ServeError::Backpressure`], barriers into
 //! [`ServeError::Deadline`], and worker death surfaces as
-//! [`ServeError::WorkerPanic`] — at which point the caller (the
-//! service session) degrades to the sequential detector.
+//! [`ServeError::WorkerPanic`].
+//!
+//! `csst-serve` does not use this type: its hb sessions run the
+//! sequential [`HbDetector`](csst_analyses::hb::HbDetector), which
+//! matched or beat every shard count measured so far. `ShardedHb`
+//! stays as a library type for the end-to-end benchmark's per-layer
+//! pipeline spans and the `ingest_shards*` bench cells.
 
 use crate::error::{panic_message, ServeError};
 use crate::shard::{drain, BatchSender, ShardCfg, Watermarks};
@@ -253,12 +258,6 @@ impl<P: PartialOrderIndex + 'static> ShardedHb<P> {
         self.seq
     }
 
-    /// True once any shard worker has died; the pipeline's results are
-    /// no longer complete and the caller should degrade or finish.
-    pub fn failed(&self) -> bool {
-        self.watermarks.any_poisoned()
-    }
-
     /// The first worker panic message, if any worker has died.
     pub fn failure(&self) -> Option<String> {
         self.failure
@@ -276,8 +275,7 @@ impl<P: PartialOrderIndex + 'static> ShardedHb<P> {
     /// [`ServeError::Backpressure`] when a worker channel stays full
     /// past the send timeout. (A *dead* worker does not error here —
     /// its channel drains into the void; death is surfaced as
-    /// [`ServeError::WorkerPanic`] by the next barrier, or via
-    /// [`failed`](Self::failed).)
+    /// [`ServeError::WorkerPanic`] by the next barrier.)
     pub fn feed(&mut self, thread: ThreadId, event: EventKind) -> Result<(), ServeError> {
         self.seq += 1;
         let seq = self.seq;

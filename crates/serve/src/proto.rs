@@ -191,7 +191,7 @@ pub struct Hello {
     pub index: String,
     /// Event encoding of the session's EVENTS frames.
     pub format: WireFormat,
-    /// Shard workers for the sharded engines.
+    /// Witness workers for `race` sessions; other analyses ignore it.
     pub shards: usize,
     /// Tumbling-window size, if windowed.
     pub window: Option<usize>,

@@ -3,12 +3,11 @@
 //! [`Server`] listens on a TCP or Unix socket, accepts any number of
 //! concurrent trace sessions (one thread per connection) and speaks
 //! the [`proto`](crate::proto) framing. Each session configures its
-//! analysis in the HELLO frame; `hb` and `race` sessions run on the
-//! sharded engines ([`ShardedHb`]/[`ShardedRace`]) and support online
-//! queries against the fully-merged prefix, every other registry
-//! analysis runs in buffered batch mode at FINISH. Reports are
-//! formatted through the same code paths as the batch
-//! [`registry`] runs, so a service report is
+//! analysis in the HELLO frame. `hb` sessions run the sequential
+//! [`HbDetector`] event by event and answer online queries from it;
+//! `race` sessions run [`ShardedRace`]; every other registry analysis
+//! runs in buffered batch mode at FINISH. Reports are formatted by the
+//! [`registry`] functions the batch CLI uses, so a service report is
 //! byte-identical to `csst_analyze` over the same events.
 //!
 //! ## Fault containment
@@ -19,13 +18,10 @@
 //! structured ERROR frame (`<code>: <message>`, see
 //! [`ServeError::code`]) and at worst ends *that* session, and socket
 //! reads/writes carry timeouts so a stalled peer cannot pin a thread
-//! forever. When a shard worker of an `hb` session panics, the session
-//! *degrades*: the event stream (buffered in the engine for exactly
-//! this purpose) is replayed into the sequential
-//! [`HbDetector`], whose report is byte-identical to the batch CLI's —
-//! the session finishes correctly, just slower. `race` sessions degrade
-//! a level lower (panicked witness chunks are re-checked sequentially
-//! inside [`ShardedRace`]), so a worker panic never even surfaces here.
+//! forever. A panic inside an analysis ends its session with a
+//! `panic:` ERROR. `race` sessions recover from a panicking witness
+//! worker inside [`ShardedRace`] (the chunk is re-checked
+//! sequentially), so that panic never surfaces here.
 //!
 //! Shutdown is cooperative: a SHUTDOWN frame flips the server's stop
 //! flag; the accept loop (polling, non-blocking) notices, stops
@@ -35,13 +31,11 @@
 
 use crate::error::{panic_message, ServeError};
 use crate::fault::FaultPlan;
-use crate::hb::ShardedHb;
 use crate::proto::{
     read_frame, write_frame, Hello, Report, WireFormat, MAX_FRAME, T_ANSWER, T_ERROR, T_EVENTS,
     T_FINISH, T_HELLO, T_OK, T_QUERY, T_REPORT, T_SHUTDOWN,
 };
 use crate::race::ShardedRace;
-use crate::shard::ShardCfg;
 use csst_analyses::hb::HbDetector;
 use csst_analyses::race::RaceCfg;
 use csst_analyses::registry::{self, IndexKind, RunOutput};
@@ -67,12 +61,8 @@ pub struct ServerCfg {
     /// from the peer) before it is closed with a `deadline` ERROR.
     /// Zero disables the timeout.
     pub idle_timeout: Duration,
-    /// Deadline for online queries and final-report flush barriers
-    /// (maps to the sharded engines' flush deadline).
-    pub query_deadline: Duration,
-    /// Socket write timeout and sharded-channel send timeout: how long
-    /// a send may block on a slow consumer before failing with
-    /// `backpressure`/`io`.
+    /// Socket write timeout: how long a send may block on a slow peer
+    /// before the session fails with an `io` error.
     pub send_timeout: Duration,
     /// Concurrent session cap; further connections are refused with an
     /// `unavailable` ERROR.
@@ -86,7 +76,6 @@ impl Default for ServerCfg {
     fn default() -> Self {
         ServerCfg {
             idle_timeout: Duration::from_secs(120),
-            query_deadline: Duration::from_secs(30),
             send_timeout: Duration::from_secs(10),
             max_sessions: 64,
             faults: FaultPlan::none(),
@@ -126,107 +115,36 @@ fn parse_ordered_query(q: &str) -> Option<(NodeId, NodeId)> {
     Some((NodeId::new(t1, p1), NodeId::new(t2, p2)))
 }
 
-/// The hb session engine: normally the sharded pipeline, with the
-/// sequential [`HbDetector`] as the degraded mode a worker panic falls
-/// back to. The event stream is buffered (the price of the fallback:
-/// memory linear in the stream) so the degraded detector can replay it
-/// and produce a report byte-identical to the batch CLI's.
-struct HbEngine<P: PartialOrderIndex + 'static> {
-    hb: Option<ShardedHb<P>>,
-    degraded: Option<HbDetector<P>>,
-    buffer: Trace,
+/// The hb session engine: the sequential [`HbDetector`], fed one event
+/// at a time. It holds the index and the access frontier, never the
+/// stream itself.
+struct HbEngine<P: PartialOrderIndex> {
+    det: HbDetector<P>,
     events: u64,
 }
 
-impl<P: PartialOrderIndex + 'static> HbEngine<P> {
-    fn new(cfg: ShardCfg) -> Self {
+impl<P: PartialOrderIndex> HbEngine<P> {
+    fn new() -> Self {
         HbEngine {
-            hb: Some(ShardedHb::<P>::new(cfg)),
-            degraded: None,
-            buffer: Trace::new(0),
+            det: HbDetector::new(()),
             events: 0,
-        }
-    }
-
-    /// Tears down the sharded pipeline and replays the buffered stream
-    /// into a fresh sequential detector.
-    fn degrade(&mut self, reason: &ServeError) -> &mut HbDetector<P> {
-        if let Some(hb) = self.hb.take() {
-            // Join the surviving workers; the result is void (the dead
-            // shard's races are missing), the replay recomputes it all.
-            let _ = hb.finish();
-        }
-        eprintln!("csst-serve: session degraded to sequential hb engine: {reason}");
-        let mut det = HbDetector::<P>::new(());
-        for (id, ev) in self.buffer.iter_order() {
-            det.feed(id.thread, ev.kind);
-        }
-        self.degraded.insert(det)
-    }
-
-    /// Runs `op` on the sharded engine, degrading on a worker panic;
-    /// `fallback` answers from the sequential detector (used both when
-    /// already degraded and right after degrading).
-    fn with_engine<T>(
-        &mut self,
-        op: impl FnOnce(&mut ShardedHb<P>) -> Result<T, ServeError>,
-        fallback: impl Fn(&mut HbDetector<P>) -> T,
-    ) -> Result<T, ServeError> {
-        if let Some(det) = self.degraded.as_mut() {
-            return Ok(fallback(det));
-        }
-        let hb = self.hb.as_mut().expect("sharded engine");
-        match op(hb) {
-            Ok(v) => Ok(v),
-            Err(e @ ServeError::WorkerPanic(_)) => Ok(fallback(self.degrade(&e))),
-            Err(e) => Err(e),
         }
     }
 }
 
-impl<P: PartialOrderIndex + 'static> SessionEngine for HbEngine<P> {
+impl<P: PartialOrderIndex> SessionEngine for HbEngine<P> {
     fn feed(&mut self, thread: ThreadId, kind: EventKind) -> Result<(), ServeError> {
         self.events += 1;
-        if let Some(det) = self.degraded.as_mut() {
-            det.feed(thread, kind);
-            return Ok(());
-        }
-        self.buffer.push(thread, kind);
-        let hb = self.hb.as_mut().expect("sharded engine");
-        match hb.feed(thread, kind) {
-            Ok(()) if !hb.failed() => Ok(()),
-            Ok(()) => {
-                // A worker died between barriers; degrade eagerly
-                // instead of buffering more work for a dead pipeline.
-                let e = ServeError::WorkerPanic(
-                    self.hb
-                        .as_ref()
-                        .and_then(|hb| hb.failure())
-                        .unwrap_or_else(|| "shard worker died".into()),
-                );
-                self.degrade(&e);
-                Ok(())
-            }
-            Err(e @ ServeError::WorkerPanic(_)) => {
-                self.degrade(&e);
-                Ok(())
-            }
-            Err(e) => Err(e),
-        }
+        self.det.feed(thread, kind);
+        Ok(())
     }
 
     fn query(&mut self, q: &str) -> Result<String, ServeError> {
         if let Some((a, b)) = parse_ordered_query(q) {
-            return self.with_engine(
-                |hb| Ok(hb.ordered(a, b)?.to_string()),
-                |det| det.index().reachable(a, b).to_string(),
-            );
+            return Ok(self.det.index().reachable(a, b).to_string());
         }
         match q.trim() {
-            "races" => self.with_engine(
-                |hb| Ok(hb.races_snapshot()?.len().to_string()),
-                |det| det.races().len().to_string(),
-            ),
+            "races" => Ok(self.det.races().len().to_string()),
             "events" => Ok(self.events.to_string()),
             _ => Err(ServeError::Query(format!(
                 "unknown query `{q}`; hb supports `ordered t1 p1 t2 p2`, `races`, `events`"
@@ -234,18 +152,8 @@ impl<P: PartialOrderIndex + 'static> SessionEngine for HbEngine<P> {
         }
     }
 
-    fn finish(mut self: Box<Self>) -> Result<Report, ServeError> {
-        if self.degraded.is_none() {
-            match self.hb.take().expect("sharded engine").finish() {
-                Ok(r) => return Ok(report_from(registry::hb_report(&r.races, r.sync_edges))),
-                Err(e @ ServeError::WorkerPanic(_)) => {
-                    self.degrade(&e);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        let det = self.degraded.take().expect("degraded detector");
-        let r = det.finish();
+    fn finish(self: Box<Self>) -> Result<Report, ServeError> {
+        let r = self.det.finish();
         Ok(report_from(registry::hb_report(&r.races, r.sync_edges)))
     }
 }
@@ -336,12 +244,6 @@ impl SessionEngine for BatchEngine {
 fn make_engine(hello: &Hello, cfg: &ServerCfg) -> Result<Box<dyn SessionEngine>, String> {
     let index = IndexKind::parse(&hello.index)
         .ok_or_else(|| format!("unknown index `{}` (csst|st|vc|graph)", hello.index))?;
-    let shard_cfg = ShardCfg {
-        send_timeout: cfg.send_timeout,
-        flush_deadline: cfg.query_deadline,
-        faults: cfg.faults.clone(),
-        ..ShardCfg::with_shards(hello.shards)
-    };
     match hello.analysis.as_str() {
         "hb" => {
             if hello.window.is_some() {
@@ -350,10 +252,10 @@ fn make_engine(hello: &Hello, cfg: &ServerCfg) -> Result<Box<dyn SessionEngine>,
                 );
             }
             Ok(match index {
-                IndexKind::Csst => Box::new(HbEngine::<IncrementalCsst>::new(shard_cfg)),
-                IndexKind::SegTree => Box::new(HbEngine::<SegTreeIndex>::new(shard_cfg)),
-                IndexKind::VectorClock => Box::new(HbEngine::<VectorClockIndex>::new(shard_cfg)),
-                IndexKind::Graph => Box::new(HbEngine::<GraphIndex>::new(shard_cfg)),
+                IndexKind::Csst => Box::new(HbEngine::<IncrementalCsst>::new()),
+                IndexKind::SegTree => Box::new(HbEngine::<SegTreeIndex>::new()),
+                IndexKind::VectorClock => Box::new(HbEngine::<VectorClockIndex>::new()),
+                IndexKind::Graph => Box::new(HbEngine::<GraphIndex>::new()),
             })
         }
         "race" => {

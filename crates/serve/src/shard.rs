@@ -118,13 +118,6 @@ impl Watermarks {
         self.slots[i].store(POISONED, Ordering::Release);
     }
 
-    /// True when any worker has poisoned its slot.
-    pub fn any_poisoned(&self) -> bool {
-        self.slots
-            .iter()
-            .any(|s| s.load(Ordering::Acquire) == POISONED)
-    }
-
     /// Blocks (spinning with yields; watermark gaps are bounded by the
     /// channel capacity, so waits are short) until every worker has
     /// merged the prefix up to `seq`, a slot is poisoned, or `deadline`
@@ -257,7 +250,6 @@ mod tests {
         let wm = Watermarks::new(2);
         wm.publish(0, 10);
         wm.poison(1);
-        assert!(wm.any_poisoned());
         match wm.wait_until(5, Duration::from_secs(5)) {
             Err(ServeError::WorkerPanic(msg)) => assert!(msg.contains("worker 1"), "{msg}"),
             other => panic!("want WorkerPanic, got {other:?}"),

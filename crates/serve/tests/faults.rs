@@ -1,6 +1,6 @@
 //! Fault-injection tests: a real `Server` on loopback with a
 //! deterministic [`FaultPlan`], proving the containment boundaries —
-//! one component fails, one session degrades or errors, everything
+//! one component fails, one session recovers or errors, everything
 //! else (including the final SHUTDOWN exit) is unaffected.
 
 use csst_analyses::registry::{self, IndexKind};
@@ -20,8 +20,8 @@ fn spawn_server_with(cfg: ServerCfg) -> (String, std::thread::JoinHandle<std::io
     (addr, handle)
 }
 
-fn batch_hb_report() -> (u8, String, Vec<String>) {
-    let entry = registry::find("hb").unwrap();
+fn batch_report(analysis: &str) -> (u8, String, Vec<String>) {
+    let entry = registry::find(analysis).unwrap();
     let out = entry
         .run(&entry.demo_trace(), IndexKind::Csst, None)
         .unwrap();
@@ -43,37 +43,47 @@ fn run_hb_session(addr: &str) -> csst_serve::Report {
     client.finish().expect("hb report")
 }
 
-/// The tentpole acceptance scenario: with fault injection enabled, a
-/// shard-worker panic mid-stream degrades that session to the
-/// sequential engine, whose report is byte-identical to the batch CLI —
-/// and a concurrent healthy session is untouched. The server still
-/// exits 0 on SHUTDOWN.
+/// A witness worker that panics inside a `race` session is contained
+/// by the engine: its chunk is re-checked sequentially, so the report
+/// still equals the batch CLI's, and a concurrent hb session is
+/// untouched. The server still exits 0 on SHUTDOWN.
 #[test]
-fn worker_panic_degrades_one_session_and_reports_match_batch() {
-    let faults = FaultPlan::parse("panic-worker=0@20").unwrap();
+fn witness_panic_in_a_race_session_reports_match_batch() {
+    let faults = FaultPlan::parse("panic-witness=0@1").unwrap();
     let cfg = ServerCfg {
         faults: faults.clone(),
         ..Default::default()
     };
     let (addr, handle) = spawn_server_with(cfg);
 
-    // Two concurrent hb sessions; the one-shot trigger fires in
-    // whichever reaches the worker's 20th message first, degrading it.
-    // Degraded or not, both reports must equal the batch run — that is
-    // the whole point of the fallback.
-    let a = {
+    let race = {
+        let addr = addr.clone();
+        std::thread::spawn(move || {
+            let hello = Hello {
+                analysis: "race".into(),
+                index: "csst".into(),
+                format: WireFormat::Binary,
+                shards: 2,
+                window: None,
+            };
+            let mut client = Client::open(&addr, &hello).expect("open race session");
+            client
+                .send_trace(&registry::find("race").unwrap().demo_trace())
+                .expect("send");
+            client.finish().expect("race report")
+        })
+    };
+    let hb = {
         let addr = addr.clone();
         std::thread::spawn(move || run_hb_session(&addr))
     };
-    let b = {
-        let addr = addr.clone();
-        std::thread::spawn(move || run_hb_session(&addr))
-    };
-    let (code, summary, lines) = batch_hb_report();
-    for report in [a.join().unwrap(), b.join().unwrap()] {
-        assert_eq!(report.exit_code, code);
-        assert_eq!(report.summary, summary);
-        assert_eq!(report.lines, lines);
+    for (analysis, report) in [("race", race.join().unwrap()), ("hb", hb.join().unwrap())] {
+        let (code, summary, lines) = batch_report(analysis);
+        assert_eq!(
+            (report.exit_code, report.summary, report.lines),
+            (code, summary, lines),
+            "{analysis}"
+        );
     }
     assert_eq!(faults.fired(), 1, "the injected panic must have hit");
 
@@ -133,7 +143,7 @@ fn malformed_frames_get_structured_errors_and_spare_other_sessions() {
 
     // The healthy session was unaffected by all three.
     let report = healthy.finish().expect("healthy report");
-    let (code, summary, lines) = batch_hb_report();
+    let (code, summary, lines) = batch_report("hb");
     assert_eq!(
         (report.exit_code, report.summary, report.lines),
         (code, summary, lines)
@@ -171,7 +181,7 @@ fn injected_frame_corruption_is_a_decode_error() {
 
     // The server is still healthy.
     let report = run_hb_session(&addr);
-    let (code, ..) = batch_hb_report();
+    let (code, ..) = batch_report("hb");
     assert_eq!(report.exit_code, code);
 
     Client::shutdown_server(&addr).expect("shutdown");
@@ -179,9 +189,11 @@ fn injected_frame_corruption_is_a_decode_error() {
 }
 
 /// A text EVENTS frame naming a thread id beyond the decoders' bound
-/// is a `decode:` ERROR for that session only. Honoring the id would
-/// size the thread table to 4·10⁹ chains, an allocation failure that
-/// aborts the whole server rather than unwinding one session.
+/// is a `decode:` ERROR for that session only. Honoring `t4000000000`
+/// would size the thread table to 4·10⁹ chains, an allocation failure
+/// that aborts the whole server rather than unwinding one session;
+/// `t70000` lies past the chains an index can address, and would
+/// panic inside the analysis.
 #[test]
 fn huge_text_thread_id_is_a_decode_error_and_spares_the_server() {
     let (addr, handle) = spawn_server_with(ServerCfg::default());
@@ -190,13 +202,15 @@ fn huge_text_thread_id_is_a_decode_error_and_spares_the_server() {
         ..Hello::default()
     };
 
-    let mut client = Client::open(&addr, &text_hello).expect("open text session");
-    client
-        .send_events_raw(b"t4000000000 w x0 1\n")
-        .expect("the frame is delivered");
-    let err = client.finish().unwrap_err();
-    assert!(err.to_string().starts_with("decode:"), "{err}");
-    assert!(err.to_string().contains("line 1"), "{err}");
+    for events in [&b"t4000000000 w x0 1\n"[..], b"t70000 w x0 1\n"] {
+        let mut client = Client::open(&addr, &text_hello).expect("open text session");
+        client
+            .send_events_raw(events)
+            .expect("the frame is delivered");
+        let err = client.finish().unwrap_err();
+        assert!(err.to_string().starts_with("decode:"), "{err}");
+        assert!(err.to_string().contains("line 1"), "{err}");
+    }
 
     // A second session on the same server still matches batch.
     let mut client = Client::open(&addr, &text_hello).expect("open second session");
@@ -204,7 +218,7 @@ fn huge_text_thread_id_is_a_decode_error_and_spares_the_server() {
         .send_trace(&registry::find("hb").unwrap().demo_trace())
         .expect("send");
     let report = client.finish().expect("hb report");
-    let (code, summary, lines) = batch_hb_report();
+    let (code, summary, lines) = batch_report("hb");
     assert_eq!(
         (report.exit_code, report.summary, report.lines),
         (code, summary, lines)

@@ -24,7 +24,7 @@
 
 use crate::event::{EventKind, LockId, VarId};
 use crate::text::ParseError;
-use crate::trace::Trace;
+use crate::trace::{Trace, MAX_THREADS};
 use csst_core::ThreadId;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -80,7 +80,14 @@ pub fn parse(input: &str) -> Result<Trace, ParseError> {
             .ok_or_else(|| err(lineno, "missing operation field"))?
             .trim();
         // Third field (location) is optional and ignored.
-        let t = ThreadId(threads.intern(thread));
+        let t = threads.intern(thread);
+        if t as usize >= MAX_THREADS {
+            return Err(err(
+                lineno,
+                format!("thread `{thread}` is past the {MAX_THREADS}-thread limit"),
+            ));
+        }
+        let t = ThreadId(t);
         let (name, operand) = match (op.find('('), op.ends_with(')')) {
             (Some(i), true) => (&op[..i], op[i + 1..op.len() - 1].trim()),
             _ => return Err(err(lineno, format!("malformed operation `{op}`"))),
@@ -194,6 +201,16 @@ T0|join(T1)|107
         assert!(e.message.contains("malformed"));
         let e = parse("|w(V1)|3").unwrap_err();
         assert!(e.message.contains("thread"));
+    }
+
+    #[test]
+    fn rejects_threads_beyond_max_threads() {
+        let mut input: String = (0..MAX_THREADS).map(|t| format!("T{t}|w(V0)\n")).collect();
+        assert_eq!(parse(&input).unwrap().num_threads(), MAX_THREADS);
+        input.push_str("Tlast|w(V0)\n");
+        let e = parse(&input).unwrap_err();
+        assert_eq!(e.line, MAX_THREADS + 1);
+        assert!(e.message.contains("limit"), "{e}");
     }
 
     #[test]

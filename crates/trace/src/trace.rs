@@ -5,11 +5,13 @@ use csst_core::{NodeId, ThreadId};
 use std::collections::HashMap;
 
 /// Exclusive upper bound on event thread ids every trace decoder
-/// accepts. A thread id sizes the trace's thread table
-/// ([`Trace::push`] grows it to `id + 1` chains), so a corrupt or
-/// hostile id must be rejected *before* it turns into a
-/// multi-gigabyte allocation.
-pub const MAX_THREADS: usize = 1 << 20;
+/// accepts: the chain count every partial-order index can address
+/// ([`csst_core::MAX_CHAINS`]). A thread id sizes the trace's thread
+/// table ([`Trace::push`] grows it to `id + 1` chains) and names an
+/// index chain, so a corrupt or hostile id must be rejected at decode
+/// time, with a position, rather than turn into a multi-gigabyte
+/// allocation or an index panic.
+pub const MAX_THREADS: usize = csst_core::MAX_CHAINS;
 
 /// A concurrent execution trace: per-thread event chains plus the
 /// observed total order.

@@ -1,7 +1,7 @@
 //! Property tests for the trace substrate: text-format round trips over
 //! arbitrary event sequences and linearization invariants.
 
-use csst_core::{NodeId, ThreadId};
+use csst_core::{NodeId, ThreadId, MAX_CHAINS};
 use csst_trace::sc::{is_acyclic, linearize};
 use csst_trace::{EventKind, LockId, MemOrder, Method, ObjId, OpId, Trace, VarId};
 use proptest::prelude::*;
@@ -105,6 +105,50 @@ proptest! {
             // A value or an error — any panic fails the test harness.
             let _ = csst_trace::binary::parse(&bytes);
             let _ = csst_trace::binary::decode_events(&bytes);
+        }
+    }
+
+    /// The text and RAPID parsers are total: byte flips and truncation
+    /// of a rendering give a trace or a positioned `ParseError`, never a
+    /// panic. Some events sit on threads around the index's chain bound,
+    /// so the text parser must also reject every id an index cannot
+    /// address.
+    #[test]
+    fn text_and_rapid_parsing_survive_arbitrary_corruption(
+        events in prop::collection::vec(
+            (prop_oneof![15 => 0u32..5, 1 => 60_000u32..70_000], arb_kind()),
+            0..60,
+        ),
+        flips in prop::collection::vec((any::<usize>(), any::<u8>()), 0..4),
+        cut in prop::option::of(any::<usize>())
+    ) {
+        let mut trace = Trace::new(5);
+        for (t, kind) in events {
+            trace.push(t, kind);
+        }
+        type Parse = fn(&str) -> Result<Trace, csst_trace::text::ParseError>;
+        let renderings: [(&str, Parse, String); 2] = [
+            ("text", csst_trace::text::parse, csst_trace::text::write(&trace)),
+            ("rapid", csst_trace::rapid::parse, csst_trace::rapid::write(&trace)),
+        ];
+        for (name, parse, rendering) in renderings {
+            let mut bytes = rendering.into_bytes();
+            for &(pos, byte) in &flips {
+                if !bytes.is_empty() {
+                    let pos = pos % bytes.len();
+                    bytes[pos] ^= byte;
+                }
+            }
+            if let Some(cut) = cut {
+                bytes.truncate(cut % (bytes.len() + 1));
+            }
+            // A value or an error — any panic fails the test harness.
+            if let Ok(parsed) = parse(&String::from_utf8_lossy(&bytes)) {
+                prop_assert!(parsed.num_threads() <= MAX_CHAINS, "{}", name);
+                for (id, _) in parsed.iter_order() {
+                    prop_assert!(id.thread.index() < MAX_CHAINS, "{}: {}", name, id.thread);
+                }
+            }
         }
     }
 

@@ -2,7 +2,7 @@
 # Chaos suite for csst-serve: each scenario boots a fresh server with a
 # deterministic fault (injected via --faults, or provoked by a
 # misbehaving client), checks that exactly the targeted session fails
-# or degrades with the expected structured error, proves the server
+# with the expected structured error (or recovers inside its engine), proves the server
 # still serves a healthy follow-up session, and finishes with a clean
 # SHUTDOWN whose exit code (including the server's own) is checked.
 #
@@ -59,7 +59,7 @@ start_server() {
 stop_server() {
     local log="$1"
     local code=0
-    "$client" --connect "$addr" --analysis hb --shards 1 --format binary \
+    "$client" --connect "$addr" --analysis hb --format binary \
         --shutdown >"$logdir/$log.shutdown" 2>&1 || code=$?
     if [[ "$code" != "1" ]]; then
         # The hb demo is racy, so the shutdown-driving session exits 1.
@@ -81,7 +81,7 @@ stop_server() {
 healthy_session() {
     local log="$1"
     local code=0
-    "$client" --connect "$addr" --analysis hb --index csst --shards 2 \
+    "$client" --connect "$addr" --analysis hb --index csst \
         --format binary --check-batch >"$logdir/$log" 2>&1 || code=$?
     if [[ "$code" != "1" ]] ||
         ! grep -q "service report matches the batch analyzer" "$logdir/$log"; then
@@ -91,27 +91,27 @@ healthy_session() {
     fi
 }
 
-# --- Scenario 1: shard-worker panic mid-stream -----------------------
-# The injected panic poisons the session's shard pipeline; the session
-# must degrade to the sequential engine and still produce a report
-# byte-identical to the batch analyzer, while a concurrent session and
-# the server itself are unaffected.
-echo "fault_smoke: scenario worker-panic"
-start_server panic.serve --faults panic-worker=0@20
+# --- Scenario 1: witness-worker panic in a race session -------------
+# The injected panic kills one witness worker of the race session; the
+# engine re-checks that chunk sequentially, so the report must still
+# be byte-identical to the batch analyzer, while a concurrent hb
+# session and the server itself are unaffected.
+echo "fault_smoke: scenario witness-panic"
+start_server panic.serve --faults panic-witness=0@1
 code=0
-"$client" --connect "$addr" --analysis hb --index csst --shards 2 \
+"$client" --connect "$addr" --analysis race --index csst --shards 2 \
     --format binary --check-batch >"$logdir/panic.client" 2>&1 &
 victim_pid=$!
 healthy_session panic.healthy
 wait "$victim_pid" || code=$?
 if [[ "$code" != "1" ]] ||
     ! grep -q "service report matches the batch analyzer" "$logdir/panic.client"; then
-    echo "fault_smoke: degraded session exited $code or mismatched batch" >&2
+    echo "fault_smoke: race session exited $code or mismatched batch" >&2
     cat "$logdir/panic.client" >&2
     fail=1
 fi
-if ! grep -q "degraded to sequential hb engine" "$logdir/panic.serve"; then
-    echo "fault_smoke: server never reported the degraded session" >&2
+if ! grep -q "injected fault: witness worker 0 panic" "$logdir/panic.serve"; then
+    echo "fault_smoke: the injected witness panic never fired" >&2
     cat "$logdir/panic.serve" >&2
     fail=1
 fi
@@ -123,7 +123,7 @@ stop_server panic.serve
 echo "fault_smoke: scenario corrupt-frame"
 start_server corrupt.serve --faults corrupt-events=1
 code=0
-"$client" --connect "$addr" --analysis hb --shards 1 --format binary \
+"$client" --connect "$addr" --analysis hb --format binary \
     >"$logdir/corrupt.client" 2>&1 || code=$?
 if [[ "$code" != "2" ]] || ! grep -q "decode:" "$logdir/corrupt.client"; then
     echo "fault_smoke: corrupted session exited $code (want 2 with decode: error)" >&2
@@ -139,7 +139,7 @@ stop_server corrupt.serve
 echo "fault_smoke: scenario slow-client"
 start_server slow.serve --idle-timeout-ms 300
 code=0
-"$client" --connect "$addr" --analysis hb --shards 1 --format binary \
+"$client" --connect "$addr" --analysis hb --format binary \
     --stall-ms 1500 >"$logdir/slow.client" 2>&1 || code=$?
 if [[ "$code" != "2" ]]; then
     echo "fault_smoke: stalled session exited $code (want 2)" >&2
@@ -160,7 +160,7 @@ stop_server slow.serve
 echo "fault_smoke: scenario mid-stream-disconnect"
 start_server vanish.serve
 code=0
-"$client" --connect "$addr" --analysis hb --shards 2 --format binary \
+"$client" --connect "$addr" --analysis hb --format binary \
     --disconnect-after 50 >"$logdir/vanish.client" 2>&1 || code=$?
 if [[ "$code" != "0" ]] ||
     ! grep -q "disconnecting uncleanly" "$logdir/vanish.client"; then
@@ -179,4 +179,4 @@ if [[ "$fail" != "0" ]]; then
     echo "fault_smoke FAILED" >&2
     exit 1
 fi
-echo "fault_smoke OK: worker-panic, corrupt-frame, slow-client, mid-stream-disconnect all contained"
+echo "fault_smoke OK: witness-panic, corrupt-frame, slow-client, mid-stream-disconnect all contained"

@@ -49,10 +49,12 @@ if [[ -z "$addr" ]]; then
 fi
 echo "serve_smoke: server at $addr (pid $server_pid)"
 
-# Two sessions at once: different analyses, formats and shard counts.
-# The hb demo contains races, so its session (and the matching batch
-# run) exits 1 — that is the *expected* code, not a failure.
-"$client" --connect "$addr" --analysis hb --index csst --shards 2 \
+# Two sessions at once: different analyses and formats (hb sessions
+# run sequentially; the race session fans its witness checks out over
+# 4 shards). The hb demo contains races, so its session (and the
+# matching batch run) exits 1 — that is the *expected* code, not a
+# failure.
+"$client" --connect "$addr" --analysis hb --index csst \
     --format binary --query events --query races --check-batch \
     >"$logdir/hb.out" 2>&1 &
 hb_pid=$!
@@ -97,7 +99,7 @@ fi
 # Unclean disconnect: a client that streams a prefix and vanishes
 # without FINISH must not disturb the server — the next session (the
 # shutdown driver below) still completes normally.
-"$client" --connect "$addr" --analysis hb --shards 2 --format binary \
+"$client" --connect "$addr" --analysis hb --format binary \
     --disconnect-after 50 >"$logdir/vanish.out" 2>&1 || {
     echo "serve_smoke: unclean-disconnect client exited $? (want 0)" >&2
     cat "$logdir/vanish.out" >&2
@@ -106,7 +108,7 @@ fi
 
 # Clean shutdown: the client's SHUTDOWN frame must stop the server,
 # which must exit 0 after joining its session threads.
-"$client" --connect "$addr" --analysis hb --shards 1 --format binary \
+"$client" --connect "$addr" --analysis hb --format binary \
     --shutdown >"$logdir/shutdown.out" 2>&1 || {
     code=$?
     if [[ "$code" != "1" ]]; then
