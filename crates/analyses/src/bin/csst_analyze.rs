@@ -21,6 +21,17 @@
 //! within its own window — but reports spanning window boundaries are
 //! missed.
 //!
+//! `--index csst` puts each index on the CSST variant its traffic
+//! favours (see [`IndexKind::Csst`]): hb, windowed base orders and
+//! linearizability run on the fully dynamic `Csst`; every other base
+//! order and every per-candidate witness closure on `IncrementalCsst`.
+//!
+//! Options are checked before the trace is read: an unknown format, or
+//! an index or window the analysis cannot take (`hb --window`,
+//! `--window` on `st`/`vc`, `linearizability` on an insert-only index),
+//! exits 2 without opening the file. On success the first line on
+//! stderr is `parsed N events across M threads`.
+//!
 //! Example:
 //!
 //! ```text
@@ -33,7 +44,7 @@
 //! ```
 
 use csst_analyses::registry::{self, IndexKind};
-use csst_trace::text;
+use csst_trace::{rapid, text, Trace};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -46,7 +57,10 @@ fn usage() -> ExitCode {
          \x20   N-event windows (sound per window: reports never span a window\n\
          \x20   boundary and each is witnessed within its own window; reports\n\
          \x20   beyond the window are missed). Needs a fully dynamic index\n\
-         \x20   (csst|graph), because window retirement deletes edges.",
+         \x20   (csst|graph), because window retirement deletes edges.\n\
+         --index csst: hb and every base order that deletes run the fully\n\
+         \x20   dynamic CSST; other base orders and all witness closures run\n\
+         \x20   the incremental CSST.",
         names.join(" ")
     );
     ExitCode::from(2)
@@ -110,6 +124,21 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    let parse: fn(&str) -> Result<Trace, text::ParseError> = match format {
+        "text" => text::parse,
+        "rapid" => rapid::parse,
+        other => {
+            eprintln!("unknown format `{other}` (text|rapid)");
+            return ExitCode::from(2);
+        }
+    };
+    // Reject an index or window the analysis cannot take before
+    // reading anything: a run over the empty trace returns exactly the
+    // error the full run would.
+    if let Err(e) = entry.run(&Trace::new(0), index, window) {
+        eprintln!("{e}");
+        return ExitCode::from(2);
+    }
     let input = match std::fs::read_to_string(path) {
         Ok(s) => s,
         Err(e) => {
@@ -117,15 +146,7 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let parsed = match format {
-        "text" => text::parse(&input),
-        "rapid" => csst_trace::rapid::parse(&input),
-        other => {
-            eprintln!("unknown format `{other}` (text|rapid)");
-            return ExitCode::from(2);
-        }
-    };
-    let trace = match parsed {
+    let trace = match parse(&input) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("parse error in {path}: {e}");

@@ -39,6 +39,7 @@ use crate::Analysis;
 use csst_core::{NodeId, PartialOrderIndex, ThreadId};
 use csst_trace::{EventKind, LockId, Trace};
 use std::collections::{HashMap, HashSet};
+use std::marker::PhantomData;
 
 /// One nested acquisition: thread holds `outer` (acquired at
 /// `outer_acq`) while acquiring `inner` at `inner_acq`.
@@ -126,16 +127,20 @@ pub fn nestings(trace: &Trace) -> Vec<Nesting> {
 /// event inside `feed`; pattern mining and the SeqCheck-style witness
 /// checks run over the buffered events at `finish` — or per window when
 /// [`DeadlockCfg::window`] bounds the buffer.
+///
+/// `P` holds the base order; each witness closure is a fresh,
+/// insert-only `W` (by default `P` itself).
 #[derive(Debug)]
-pub struct DeadlockPredictor<P> {
+pub struct DeadlockPredictor<P, W = P> {
     cfg: DeadlockCfg,
     builder: BaseOrderBuilder<P>,
     patterns: usize,
     deadlocks: Vec<Deadlock>,
     reported: HashSet<(NodeId, NodeId)>,
+    witness: PhantomData<fn() -> W>,
 }
 
-impl<P: PartialOrderIndex> DeadlockPredictor<P> {
+impl<P: PartialOrderIndex, W: PartialOrderIndex> DeadlockPredictor<P, W> {
     fn analyze_window(&mut self) {
         let (trace, win) = self.builder.split();
         if trace.total_events() == 0 {
@@ -180,7 +185,7 @@ impl<P: PartialOrderIndex> DeadlockPredictor<P> {
                     }
                     self.patterns += 1;
                     let key = (win.to_global(a.inner_acq), win.to_global(b.inner_acq));
-                    if witness::<_, P>(&win, &ctx, &self.cfg.saturation, a, b)
+                    if witness::<_, W>(&win, &ctx, &self.cfg.saturation, a, b)
                         && self.reported.insert(key)
                     {
                         self.deadlocks.push(Deadlock {
@@ -194,7 +199,7 @@ impl<P: PartialOrderIndex> DeadlockPredictor<P> {
     }
 }
 
-impl<P: PartialOrderIndex> Analysis for DeadlockPredictor<P> {
+impl<P: PartialOrderIndex, W: PartialOrderIndex> Analysis for DeadlockPredictor<P, W> {
     type Cfg = DeadlockCfg;
     type Report = DeadlockReport<P>;
 
@@ -205,6 +210,7 @@ impl<P: PartialOrderIndex> Analysis for DeadlockPredictor<P> {
             patterns: 0,
             deadlocks: Vec::new(),
             reported: HashSet::new(),
+            witness: PhantomData,
         }
     }
 
@@ -266,8 +272,8 @@ fn guarded(trace: &Trace, a: &Nesting, b: &Nesting) -> bool {
 /// section open (the thread holds the lock the other thread requests),
 /// so the open-section rules of [`witness_co_enabled`] enforce the
 /// deadlock semantics. `base` filters ordered pairs; the fresh witness
-/// index is built over `P`.
-fn witness<B: PartialOrderIndex, P: PartialOrderIndex>(
+/// index is built over `W`.
+fn witness<B: PartialOrderIndex, W: PartialOrderIndex>(
     base: &B,
     ctx: &ClosureCtx<'_>,
     sat: &SaturationCfg,
@@ -278,7 +284,7 @@ fn witness<B: PartialOrderIndex, P: PartialOrderIndex>(
     if base.reachable(a.inner_acq, b.outer_acq) || base.reachable(b.inner_acq, a.outer_acq) {
         return false;
     }
-    witness_co_enabled::<P>(ctx, sat, &[a.inner_acq, b.inner_acq])
+    witness_co_enabled::<W>(ctx, sat, &[a.inner_acq, b.inner_acq])
 }
 
 #[cfg(test)]

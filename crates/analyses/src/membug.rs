@@ -35,6 +35,7 @@ use crate::Analysis;
 use csst_core::{NodeId, PartialOrderIndex, ThreadId};
 use csst_trace::{EventKind, ObjId, Trace};
 use std::collections::HashMap;
+use std::marker::PhantomData;
 
 /// A predicted memory bug.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,15 +100,19 @@ pub struct MemBugReport<P> {
 /// event inside `feed`; candidate generation and witness checks run
 /// over the buffered events at `finish` — or per window when
 /// [`MemBugCfg::window`] bounds the buffer.
+///
+/// `P` holds the base order; each witness closure is a fresh,
+/// insert-only `W` (by default `P` itself).
 #[derive(Debug)]
-pub struct MemBugPredictor<P> {
+pub struct MemBugPredictor<P, W = P> {
     cfg: MemBugCfg,
     builder: BaseOrderBuilder<P>,
     candidates: usize,
     bugs: Vec<MemBug>,
+    witness: PhantomData<fn() -> W>,
 }
 
-impl<P: PartialOrderIndex> MemBugPredictor<P> {
+impl<P: PartialOrderIndex, W: PartialOrderIndex> MemBugPredictor<P, W> {
     fn analyze_window(&mut self) {
         let (trace, win) = self.builder.split();
         if trace.total_events() == 0 {
@@ -169,7 +174,7 @@ impl<P: PartialOrderIndex> MemBugPredictor<P> {
                         continue;
                     }
                     self.candidates += 1;
-                    if witness_co_enabled::<P>(&ctx, &self.cfg.saturation, &[u, f]) {
+                    if witness_co_enabled::<W>(&ctx, &self.cfg.saturation, &[u, f]) {
                         self.bugs.push(MemBug::UseAfterFree {
                             obj,
                             use_event: win.to_global(u),
@@ -208,7 +213,7 @@ impl<P: PartialOrderIndex> MemBugPredictor<P> {
     }
 }
 
-impl<P: PartialOrderIndex> Analysis for MemBugPredictor<P> {
+impl<P: PartialOrderIndex, W: PartialOrderIndex> Analysis for MemBugPredictor<P, W> {
     type Cfg = MemBugCfg;
     type Report = MemBugReport<P>;
 
@@ -218,6 +223,7 @@ impl<P: PartialOrderIndex> Analysis for MemBugPredictor<P> {
             cfg,
             candidates: 0,
             bugs: Vec::new(),
+            witness: PhantomData,
         }
     }
 

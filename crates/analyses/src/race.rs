@@ -42,6 +42,7 @@ use crate::Analysis;
 use csst_core::{NodeId, PartialOrderIndex, ThreadId};
 use csst_trace::{EventKind, Trace, VarId};
 use std::collections::HashMap;
+use std::marker::PhantomData;
 
 /// Configuration of [`predict`].
 #[derive(Debug, Clone)]
@@ -172,15 +173,20 @@ pub fn select_candidates<P: PartialOrderIndex>(
 /// generation and the M2-style witness checks run over the buffered
 /// events at `finish` — or per window when [`RaceCfg::window`] bounds
 /// the buffer.
+///
+/// `P` holds the base order; each witness closure is a fresh,
+/// insert-only `W` (by default `P` itself). A windowed base order must
+/// delete, while witness closures never do, so the two may differ.
 #[derive(Debug)]
-pub struct RacePredictor<P> {
+pub struct RacePredictor<P, W = P> {
     cfg: RaceCfg,
     builder: BaseOrderBuilder<P>,
     races: Vec<(NodeId, NodeId)>,
     candidates: usize,
+    witness: PhantomData<fn() -> W>,
 }
 
-impl<P: PartialOrderIndex> RacePredictor<P> {
+impl<P: PartialOrderIndex, W: PartialOrderIndex> RacePredictor<P, W> {
     /// Runs candidate generation + witness checks over the buffered
     /// window (the whole trace when unwindowed).
     fn analyze_window(&mut self) {
@@ -197,14 +203,14 @@ impl<P: PartialOrderIndex> RacePredictor<P> {
         let ctx = ClosureCtx::new(trace, None);
         for &(e1, e2) in &checked {
             self.candidates += 1;
-            if witness_co_enabled::<P>(&ctx, &self.cfg.saturation, &[e1, e2]) {
+            if witness_co_enabled::<W>(&ctx, &self.cfg.saturation, &[e1, e2]) {
                 self.races.push((win.to_global(e1), win.to_global(e2)));
             }
         }
     }
 }
 
-impl<P: PartialOrderIndex> Analysis for RacePredictor<P> {
+impl<P: PartialOrderIndex, W: PartialOrderIndex> Analysis for RacePredictor<P, W> {
     type Cfg = RaceCfg;
     type Report = RaceReport<P>;
 
@@ -214,6 +220,7 @@ impl<P: PartialOrderIndex> Analysis for RacePredictor<P> {
             cfg,
             races: Vec::new(),
             candidates: 0,
+            witness: PhantomData,
         }
     }
 

@@ -13,7 +13,7 @@
 //! fully dynamic representations (`csst`, `graph`). See the
 //! [`crate::Analysis`] soundness contract.
 
-use crate::{c11, deadlock, hb, linearizability, membug, race, tso, uaf};
+use crate::{c11, deadlock, hb, linearizability, membug, race, tso, uaf, Analysis};
 use csst_core::{Csst, GraphIndex, IncrementalCsst, NodeId, SegTreeIndex, VectorClockIndex};
 use csst_trace::gen;
 use csst_trace::Trace;
@@ -21,8 +21,13 @@ use csst_trace::Trace;
 /// Index representation selected by name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexKind {
-    /// Incremental CSSTs (`csst`) — or the fully dynamic [`Csst`] for
-    /// analyses that delete edges.
+    /// CSSTs (`csst`), each index on the variant its traffic favours.
+    /// The fully dynamic [`Csst`] (cheap inserts, a fixpoint per
+    /// query) holds hb's append-heavy order and every base order that
+    /// deletes: windowed runs and linearizability. The
+    /// [`IncrementalCsst`] (stored closure, one suffix minimum per
+    /// query) holds the other unwindowed base orders and every
+    /// per-candidate witness closure, which is insert-only.
     Csst,
     /// Dense segment trees (`st`).
     SegTree,
@@ -140,15 +145,33 @@ pub fn resolve(name: &str) -> Result<&'static AnalysisEntry, String> {
 /// Dispatches a generic runner: over every representation when
 /// unwindowed, over the fully dynamic ones (`csst` → [`Csst`],
 /// `graph`) when a window is set — retirement deletes edges.
+///
+/// Runners of analyses that check per-candidate witness closures are
+/// passed as `run<witness>` and take the witness index as a second
+/// type parameter. It equals the base index everywhere except the
+/// windowed `csst` arm, which keeps the deleting base order on
+/// [`Csst`] and builds the insert-only witnesses on [`IncrementalCsst`].
 macro_rules! streaming_dispatch {
     ($index:expr, $window:expr, $run:ident, $trace:expr) => {
+        streaming_dispatch!(@arms $index, $window, $trace,
+            $run::<IncrementalCsst>, $run::<SegTreeIndex>, $run::<VectorClockIndex>,
+            $run::<GraphIndex>, $run::<Csst>)
+    };
+    ($index:expr, $window:expr, $run:ident<witness>, $trace:expr) => {
+        streaming_dispatch!(@arms $index, $window, $trace,
+            $run::<IncrementalCsst, IncrementalCsst>, $run::<SegTreeIndex, SegTreeIndex>,
+            $run::<VectorClockIndex, VectorClockIndex>, $run::<GraphIndex, GraphIndex>,
+            $run::<Csst, IncrementalCsst>)
+    };
+    (@arms $index:expr, $window:expr, $trace:expr,
+        $csst:expr, $st:expr, $vc:expr, $graph:expr, $windowed_csst:expr) => {
         match ($window, $index) {
-            (None, IndexKind::Csst) => Ok($run::<IncrementalCsst>($trace, None)),
-            (None, IndexKind::SegTree) => Ok($run::<SegTreeIndex>($trace, None)),
-            (None, IndexKind::VectorClock) => Ok($run::<VectorClockIndex>($trace, None)),
-            (None, IndexKind::Graph) => Ok($run::<GraphIndex>($trace, None)),
-            (Some(w), IndexKind::Csst) => Ok($run::<Csst>($trace, Some(w))),
-            (Some(w), IndexKind::Graph) => Ok($run::<GraphIndex>($trace, Some(w))),
+            (None, IndexKind::Csst) => Ok($csst($trace, None)),
+            (None, IndexKind::SegTree) => Ok($st($trace, None)),
+            (None, IndexKind::VectorClock) => Ok($vc($trace, None)),
+            (None, IndexKind::Graph) => Ok($graph($trace, None)),
+            (Some(w), IndexKind::Csst) => Ok($windowed_csst($trace, Some(w))),
+            (Some(w), IndexKind::Graph) => Ok($graph($trace, Some(w))),
             (Some(_), other) => Err(format!(
                 "--window retires edges and needs a fully dynamic index (csst|graph), got `{}`",
                 other.name()
@@ -161,7 +184,7 @@ static ENTRIES: [AnalysisEntry; 8] = [
     AnalysisEntry {
         name: "race",
         description: "M2-style data race prediction (Table 1)",
-        run: |trace, index, window| streaming_dispatch!(index, window, run_race, trace),
+        run: |trace, index, window| streaming_dispatch!(index, window, run_race<witness>, trace),
         demo: || {
             gen::racy_program(&gen::RacyProgramCfg {
                 threads: 4,
@@ -188,7 +211,9 @@ static ENTRIES: [AnalysisEntry; 8] = [
     AnalysisEntry {
         name: "deadlock",
         description: "SeqCheck-style deadlock prediction (Table 2)",
-        run: |trace, index, window| streaming_dispatch!(index, window, run_deadlock, trace),
+        run: |trace, index, window| {
+            streaming_dispatch!(index, window, run_deadlock<witness>, trace)
+        },
         demo: || {
             gen::lock_program(&gen::LockProgramCfg {
                 threads: 4,
@@ -201,7 +226,7 @@ static ENTRIES: [AnalysisEntry; 8] = [
     AnalysisEntry {
         name: "membug",
         description: "ConVulPOE-style memory-bug prediction (Table 3)",
-        run: |trace, index, window| streaming_dispatch!(index, window, run_membug, trace),
+        run: |trace, index, window| streaming_dispatch!(index, window, run_membug<witness>, trace),
         demo: || {
             gen::alloc_program(&gen::AllocProgramCfg {
                 threads: 5,
@@ -297,12 +322,15 @@ pub fn hb_report(races: &[(NodeId, NodeId)], sync_edges: usize) -> RunOutput {
     }
 }
 
-fn run_race<P: csst_core::PartialOrderIndex>(trace: &Trace, window: Option<usize>) -> RunOutput {
+fn run_race<P: csst_core::PartialOrderIndex, W: csst_core::PartialOrderIndex>(
+    trace: &Trace,
+    window: Option<usize>,
+) -> RunOutput {
     let cfg = race::RaceCfg {
         window,
         ..Default::default()
     };
-    let r = race::predict::<P>(trace, &cfg);
+    let r = race::RacePredictor::<P, W>::run(trace, cfg);
     race_report(&r.races, r.candidates)
 }
 
@@ -317,7 +345,7 @@ fn run_hb_entry(
         );
     }
     match index {
-        IndexKind::Csst => Ok(run_hb::<IncrementalCsst>(trace)),
+        IndexKind::Csst => Ok(run_hb::<Csst>(trace)),
         IndexKind::SegTree => Ok(run_hb::<SegTreeIndex>(trace)),
         IndexKind::VectorClock => Ok(run_hb::<VectorClockIndex>(trace)),
         IndexKind::Graph => Ok(run_hb::<GraphIndex>(trace)),
@@ -329,7 +357,7 @@ fn run_hb<P: csst_core::PartialOrderIndex>(trace: &Trace) -> RunOutput {
     hb_report(&r.races, r.sync_edges)
 }
 
-fn run_deadlock<P: csst_core::PartialOrderIndex>(
+fn run_deadlock<P: csst_core::PartialOrderIndex, W: csst_core::PartialOrderIndex>(
     trace: &Trace,
     window: Option<usize>,
 ) -> RunOutput {
@@ -337,7 +365,7 @@ fn run_deadlock<P: csst_core::PartialOrderIndex>(
         window,
         ..Default::default()
     };
-    let r = deadlock::predict::<P>(trace, &cfg);
+    let r = deadlock::DeadlockPredictor::<P, W>::run(trace, cfg);
     RunOutput {
         lines: r
             .deadlocks
@@ -363,12 +391,15 @@ fn run_deadlock<P: csst_core::PartialOrderIndex>(
     }
 }
 
-fn run_membug<P: csst_core::PartialOrderIndex>(trace: &Trace, window: Option<usize>) -> RunOutput {
+fn run_membug<P: csst_core::PartialOrderIndex, W: csst_core::PartialOrderIndex>(
+    trace: &Trace,
+    window: Option<usize>,
+) -> RunOutput {
     let cfg = membug::MemBugCfg {
         window,
         ..Default::default()
     };
-    let r = membug::predict::<P>(trace, &cfg);
+    let r = membug::MemBugPredictor::<P, W>::run(trace, cfg);
     RunOutput {
         lines: r
             .bugs

@@ -14,8 +14,10 @@
 //! * the per-candidate witness checks — rebuilding and saturating a
 //!   closure per pair, the expensive part — fan out across N workers
 //!   in contiguous ranges of the selected list. Each worker builds its
-//!   own [`ClosureCtx`] over the shared window trace and a fresh index
-//!   per check; results merge back in candidate order.
+//!   own [`ClosureCtx`] over the shared window trace and a fresh
+//!   witness index per check; results merge back in candidate order.
+//!   As in the sequential predictor, the base order is a `P` and each
+//!   witness closure an insert-only `W` (by default `P`).
 //!
 //! Because the checked-candidate list and each individual verdict are
 //! exactly the sequential predictor's, the merged race list is
@@ -39,6 +41,7 @@ use csst_analyses::saturation::{witness_co_enabled, ClosureCtx, SaturationCfg};
 use csst_analyses::{BaseOrderBuilder, WindowStats};
 use csst_core::{NodeId, PartialOrderIndex, ThreadId};
 use csst_trace::{EventKind, Trace};
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -60,7 +63,7 @@ pub struct ShardedRaceReport {
 }
 
 /// The sharded race predictor (see the [module docs](self)).
-pub struct ShardedRace<P> {
+pub struct ShardedRace<P, W = P> {
     cfg: RaceCfg,
     shards: usize,
     faults: FaultPlan,
@@ -69,12 +72,13 @@ pub struct ShardedRace<P> {
     candidates: usize,
     /// Witness chunks that panicked and were recovered sequentially.
     recovered_chunks: usize,
+    witness: PhantomData<fn() -> W>,
 }
 
 /// Checks one chunk of candidate pairs, writing verdicts in place.
 /// Pure modulo the injected faults, so a panicked chunk can be redone
 /// from scratch.
-fn check_chunk<P: PartialOrderIndex>(
+fn check_chunk<W: PartialOrderIndex>(
     ctx: &ClosureCtx<'_>,
     sat: &SaturationCfg,
     faults: &FaultPlan,
@@ -84,11 +88,11 @@ fn check_chunk<P: PartialOrderIndex>(
 ) {
     for (&(e1, e2), v) in pairs.iter().zip(out.iter_mut()) {
         faults.on_witness_check(slot);
-        *v = witness_co_enabled::<P>(ctx, sat, &[e1, e2]);
+        *v = witness_co_enabled::<W>(ctx, sat, &[e1, e2]);
     }
 }
 
-impl<P: PartialOrderIndex> ShardedRace<P> {
+impl<P: PartialOrderIndex, W: PartialOrderIndex> ShardedRace<P, W> {
     /// Creates a predictor fanning witness checks over `shards`
     /// workers.
     pub fn new(cfg: RaceCfg, shards: usize) -> Self {
@@ -106,6 +110,7 @@ impl<P: PartialOrderIndex> ShardedRace<P> {
             races: Vec::new(),
             candidates: 0,
             recovered_chunks: 0,
+            witness: PhantomData,
         }
     }
 
@@ -174,7 +179,7 @@ impl<P: PartialOrderIndex> ShardedRace<P> {
                     // the retry overwrites the whole chunk).
                     let chunk_body = AssertUnwindSafe(|| {
                         let ctx = ClosureCtx::new(trace, None);
-                        check_chunk::<P>(&ctx, sat, faults, slot, pairs, out);
+                        check_chunk::<W>(&ctx, sat, faults, slot, pairs, out);
                     });
                     if catch_unwind(chunk_body).is_err() {
                         panicked.store(true, Ordering::Release);
@@ -195,7 +200,7 @@ impl<P: PartialOrderIndex> ShardedRace<P> {
             let out = &mut verdicts[slot * chunk..((slot + 1) * chunk).min(checked.len())];
             let retry = AssertUnwindSafe(|| {
                 let ctx = ClosureCtx::new(trace, None);
-                check_chunk::<P>(&ctx, &sat, &faults, slot, pairs, out);
+                check_chunk::<W>(&ctx, &sat, &faults, slot, pairs, out);
             });
             if let Err(payload) = catch_unwind(retry) {
                 return Err(ServeError::WorkerPanic(format!(
@@ -240,7 +245,7 @@ impl<P: PartialOrderIndex> ShardedRace<P> {
         cfg: RaceCfg,
         shards: usize,
     ) -> Result<ShardedRaceReport, ServeError> {
-        let mut r = ShardedRace::<P>::new(cfg, shards);
+        let mut r = Self::new(cfg, shards);
         for (id, ev) in trace.iter_order() {
             r.feed(id.thread, ev.kind)?;
         }
@@ -296,10 +301,14 @@ mod tests {
             ..Default::default()
         };
         let seq = race::predict::<Csst>(&trace, &cfg);
-        let sharded = ShardedRace::<Csst>::run(&trace, cfg, 3).unwrap();
+        let sharded = ShardedRace::<Csst>::run(&trace, cfg.clone(), 3).unwrap();
         assert_eq!(sharded.races, seq.races);
         assert_eq!(sharded.candidates, seq.candidates);
         assert_eq!(sharded.window.windows, seq.window.windows);
+        // The windowed `csst` session engine: incremental witnesses.
+        let mixed = ShardedRace::<Csst, IncrementalCsst>::run(&trace, cfg, 3).unwrap();
+        assert_eq!(mixed.races, seq.races);
+        assert_eq!(mixed.candidates, seq.candidates);
     }
 
     #[test]

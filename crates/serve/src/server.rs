@@ -6,7 +6,10 @@
 //! analysis in the HELLO frame. `hb` sessions run the sequential
 //! [`HbDetector`] event by event and answer online queries from it;
 //! `race` sessions run [`ShardedRace`]; every other registry analysis
-//! runs in buffered batch mode at FINISH. Reports are formatted by the
+//! runs in buffered batch mode at FINISH. A `csst` index maps to the
+//! same types as in the registry: hb runs on the fully dynamic `Csst`,
+//! and a windowed race session keeps its base order on `Csst` and its
+//! witness closures on `IncrementalCsst`. Reports are formatted by the
 //! [`registry`] functions the batch CLI uses, so a service report is
 //! byte-identical to `csst_analyze` over the same events.
 //!
@@ -158,11 +161,13 @@ impl<P: PartialOrderIndex> SessionEngine for HbEngine<P> {
     }
 }
 
-struct RaceEngine<P: PartialOrderIndex> {
-    race: ShardedRace<P>,
+/// The race session engine: [`ShardedRace`] on base order `P` and
+/// witness index `W`.
+struct RaceEngine<P, W> {
+    race: ShardedRace<P, W>,
 }
 
-impl<P: PartialOrderIndex> SessionEngine for RaceEngine<P> {
+impl<P: PartialOrderIndex, W: PartialOrderIndex> SessionEngine for RaceEngine<P, W> {
     fn feed(&mut self, thread: ThreadId, kind: EventKind) -> Result<(), ServeError> {
         // Witness-worker panics are already recovered inside the
         // sharded predictor (sequential chunk retry); an error here is
@@ -251,8 +256,11 @@ fn make_engine(hello: &Hello, cfg: &ServerCfg) -> Result<Box<dyn SessionEngine>,
                     "hb is genuinely online and buffers nothing; windowing does not apply".into(),
                 );
             }
+            // The index types mirror `registry::run_hb_entry`: hb's
+            // append-heavy, probe-light traffic runs `csst` on the
+            // fully dynamic `Csst`.
             Ok(match index {
-                IndexKind::Csst => Box::new(HbEngine::<IncrementalCsst>::new()),
+                IndexKind::Csst => Box::new(HbEngine::<Csst>::new()),
                 IndexKind::SegTree => Box::new(HbEngine::<SegTreeIndex>::new()),
                 IndexKind::VectorClock => Box::new(HbEngine::<VectorClockIndex>::new()),
                 IndexKind::Graph => Box::new(HbEngine::<GraphIndex>::new()),
@@ -265,6 +273,10 @@ fn make_engine(hello: &Hello, cfg: &ServerCfg) -> Result<Box<dyn SessionEngine>,
             };
             let shards = hello.shards;
             let faults = cfg.faults.clone();
+            // The index types mirror the registry's `streaming_dispatch!`:
+            // a windowed `csst` base order deletes and runs on `Csst`,
+            // while its insert-only witness closures run on
+            // `IncrementalCsst`.
             Ok(match (hello.window, index) {
                 (None, IndexKind::Csst) => Box::new(RaceEngine {
                     race: ShardedRace::<IncrementalCsst>::with_faults(race_cfg, shards, faults),
@@ -279,7 +291,9 @@ fn make_engine(hello: &Hello, cfg: &ServerCfg) -> Result<Box<dyn SessionEngine>,
                     race: ShardedRace::<GraphIndex>::with_faults(race_cfg, shards, faults),
                 }),
                 (Some(_), IndexKind::Csst) => Box::new(RaceEngine {
-                    race: ShardedRace::<Csst>::with_faults(race_cfg, shards, faults),
+                    race: ShardedRace::<Csst, IncrementalCsst>::with_faults(
+                        race_cfg, shards, faults,
+                    ),
                 }),
                 (Some(_), IndexKind::Graph) => Box::new(RaceEngine {
                     race: ShardedRace::<GraphIndex>::with_faults(race_cfg, shards, faults),

@@ -113,6 +113,36 @@ fn tcp_query_round_trips_do_not_stall() {
     handle.join().unwrap().expect("server exits cleanly");
 }
 
+/// A windowed `race`/`csst` session runs `ShardedRace<Csst,
+/// IncrementalCsst>`: the deleting base order on the fully dynamic
+/// CSST, the witness closures on the incremental one, fanned over two
+/// workers. Its report must equal the batch CLI's.
+#[test]
+fn windowed_race_session_with_incremental_witnesses_matches_batch() {
+    let (addr, handle) = spawn_server();
+    let hello = Hello {
+        analysis: "race".into(),
+        index: "csst".into(),
+        format: WireFormat::Binary,
+        shards: 2,
+        window: Some(64),
+    };
+    let mut client = Client::open(&addr, &hello).expect("open race session");
+    client
+        .send_trace(&registry::find("race").unwrap().demo_trace())
+        .expect("send");
+    let report = client.finish().expect("race report");
+    let (code, summary, lines) = batch_report("race", "csst", Some(64));
+    assert!(!lines.is_empty(), "the windowed demo must predict races");
+    assert_eq!(
+        (report.exit_code, report.summary, report.lines),
+        (code, summary, lines)
+    );
+
+    Client::shutdown_server(&addr).expect("shutdown");
+    handle.join().unwrap().expect("server exits cleanly");
+}
+
 #[test]
 fn batch_fallback_windowed_and_query_errors() {
     let (addr, handle) = spawn_server();

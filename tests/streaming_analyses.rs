@@ -9,8 +9,9 @@
 //! deterministic.
 
 use csst_analyses::{c11, deadlock, hb, linearizability, membug, race, tso, uaf, Analysis};
-use csst_core::{Csst, IncrementalCsst, NodeId, PartialOrderIndex, VectorClockIndex};
+use csst_core::{Csst, GraphIndex, IncrementalCsst, NodeId, PartialOrderIndex, VectorClockIndex};
 use csst_trace::{gen, Trace};
+use proptest::prelude::*;
 
 /// Feeds `trace` event by event — the streaming side of the
 /// comparison, deliberately not using `Analysis::run`.
@@ -64,6 +65,81 @@ fn hb_streaming_matches_batch() {
             let t = csst_core::ThreadId(t as u32);
             assert_eq!(streamed.hb.chain_len(t), trace.thread_len(t));
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// hb on the fully dynamic `Csst`, the index `--index csst` runs hb
+    /// on, agrees with the graph oracle: the same races and sync edges,
+    /// and the same `ordered` answers a session serves mid-stream.
+    /// `probes` are `(after event, t1, p1, t2, p2)`, reduced into the
+    /// prefix seen so far.
+    #[test]
+    fn hb_on_csst_matches_graph_oracle(
+        seed in 0u64..1000,
+        threads in 2usize..9,
+        hb_seq_mix in 0usize..2,
+        probes in proptest::collection::vec(
+            (0usize..10_000, 0usize..8, 0u32..1000, 0usize..8, 0u32..1000),
+            0..48,
+        ),
+    ) {
+        let cfg = if hb_seq_mix == 1 {
+            // The `hb_seq` micro cell's access-heavy mix.
+            gen::RacyProgramCfg {
+                threads,
+                events_per_thread: 60,
+                vars: 16,
+                lock_frac: 0.3,
+                shared_frac: 0.5,
+                seed,
+                ..Default::default()
+            }
+        } else {
+            // The `hb_online` benchmark sessions' sync-heavy mix.
+            gen::RacyProgramCfg {
+                threads,
+                events_per_thread: 60,
+                vars: 64,
+                locks: 4,
+                shared_frac: 0.05,
+                seed,
+                ..Default::default()
+            }
+        };
+        let trace = gen::racy_program(&cfg);
+        let total = trace.total_events().max(1);
+        let mut probes = probes;
+        probes.sort_unstable_by_key(|p| p.0 % total);
+        let mut next = probes.iter().peekable();
+        let mut csst = hb::HbDetector::<Csst>::new(());
+        let mut graph = hb::HbDetector::<GraphIndex>::new(());
+        let mut seen = vec![0u32; trace.num_threads()];
+        for (i, (id, ev)) in trace.iter_order().enumerate() {
+            csst.feed(id.thread, ev.kind);
+            graph.feed(id.thread, ev.kind);
+            seen[id.thread.index()] += 1;
+            while let Some(&(_, t1, p1, t2, p2)) = next.next_if(|p| p.0 % total == i) {
+                let (t1, t2) = (t1 % seen.len(), t2 % seen.len());
+                if seen[t1] == 0 || seen[t2] == 0 {
+                    continue;
+                }
+                let a = NodeId::new(t1 as u32, p1 % seen[t1]);
+                let b = NodeId::new(t2 as u32, p2 % seen[t2]);
+                prop_assert_eq!(
+                    csst.index().reachable(a, b),
+                    graph.index().reachable(a, b),
+                    "ordered {:?} {:?} after event {}", a, b, i
+                );
+            }
+        }
+        prop_assert_eq!(csst.races(), graph.races());
+        prop_assert_eq!(csst.sync_edges(), graph.sync_edges());
+        let (c, g) = (csst.finish(), graph.finish());
+        prop_assert_eq!(c.races, g.races);
+        prop_assert_eq!(c.sync_edges, g.sync_edges);
     }
 }
 

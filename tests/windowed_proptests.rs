@@ -13,6 +13,7 @@
 //! events never exceed the window and retirement genuinely deletes the
 //! inserted edges.
 
+use csst_analyses::registry::{self, IndexKind};
 use csst_analyses::{membug, race, tso, uaf};
 use csst_core::{Csst, NodeId};
 use csst_trace::{gen, Trace};
@@ -167,6 +168,51 @@ proptest! {
         prop_assert_eq!(&windowed.candidates, &expected);
         prop_assert_eq!(windowed.pruned, pruned);
         prop_assert_eq!(windowed.total_constraints, constraints);
+    }
+
+    /// A windowed `--index csst` run keeps the deleting base order on
+    /// `Csst` and builds witness closures on `IncrementalCsst`; its
+    /// reports must equal the graph oracle's, line for line, for every
+    /// analysis that builds witnesses.
+    #[test]
+    fn windowed_csst_with_incremental_witnesses_matches_graph_oracle(
+        seed in 0u64..500,
+        window in 20usize..200,
+    ) {
+        let traces = [
+            ("race", gen::racy_program(&gen::RacyProgramCfg {
+                threads: 4,
+                events_per_thread: 60,
+                vars: 3,
+                write_frac: 0.4,
+                shared_frac: 0.8,
+                lock_frac: 0.3,
+                seed,
+                ..Default::default()
+            })),
+            ("deadlock", gen::lock_program(&gen::LockProgramCfg {
+                threads: 4,
+                blocks_per_thread: 20,
+                inversion_frac: 0.2,
+                seed,
+                ..Default::default()
+            })),
+            ("membug", gen::alloc_program(&gen::AllocProgramCfg {
+                threads: 4,
+                objects: 30,
+                remote_free_frac: 0.5,
+                seed,
+                ..Default::default()
+            })),
+        ];
+        for (name, trace) in &traces {
+            let entry = registry::find(name).unwrap();
+            let csst = entry.run(trace, IndexKind::Csst, Some(window)).unwrap();
+            let graph = entry.run(trace, IndexKind::Graph, Some(window)).unwrap();
+            prop_assert_eq!(&csst.lines, &graph.lines, "{} window {}", name, window);
+            prop_assert_eq!(&csst.summary, &graph.summary, "{} window {}", name, window);
+            prop_assert_eq!(csst.exit_code, graph.exit_code, "{} window {}", name, window);
+        }
     }
 
     /// Windowed TSO checking drops cross-window observations instead of
