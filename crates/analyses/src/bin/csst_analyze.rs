@@ -26,11 +26,14 @@
 //! linearizability run on the fully dynamic `Csst`; every other base
 //! order and every per-candidate witness closure on `IncrementalCsst`.
 //!
-//! Options are checked before the trace is read: an unknown format, or
-//! an index or window the analysis cannot take (`hb --window`,
-//! `--window` on `st`/`vc`, `linearizability` on an insert-only index),
-//! exits 2 without opening the file. On success the first line on
-//! stderr is `parsed N events across M threads`.
+//! The analysis session is opened before the trace is read: an unknown
+//! format, or an index or window the analysis cannot take (`hb
+//! --window`, `--window` on `st`/`vc`, `linearizability` on an
+//! insert-only index), exits 2 without opening the file. On success the
+//! whole file is decoded, the first line on stderr is `parsed N events
+//! across M threads`, and the events are then fed to the session — the
+//! same [`Session`](csst_analyses::registry::Session) a `csst-serve`
+//! session runs.
 //!
 //! Example:
 //!
@@ -132,13 +135,15 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    // Reject an index or window the analysis cannot take before
-    // reading anything: a run over the empty trace returns exactly the
-    // error the full run would.
-    if let Err(e) = entry.run(&Trace::new(0), index, window) {
-        eprintln!("{e}");
-        return ExitCode::from(2);
-    }
+    // Open the session before reading anything, so an index or window
+    // the analysis cannot take is rejected without touching the file.
+    let mut session = match entry.open(index, window) {
+        Ok(session) => session,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
+    };
     let input = match std::fs::read_to_string(path) {
         Ok(s) => s,
         Err(e) => {
@@ -158,17 +163,13 @@ fn main() -> ExitCode {
         trace.total_events(),
         trace.num_threads()
     );
-    match entry.run(&trace, index, window) {
-        Ok(out) => {
-            for line in &out.lines {
-                println!("{line}");
-            }
-            println!("{}", out.summary);
-            ExitCode::from(out.exit_code)
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            ExitCode::from(2)
-        }
+    for (id, ev) in trace.iter_order() {
+        session.feed(id.thread, ev.kind);
     }
+    let out = session.finish();
+    for line in &out.lines {
+        println!("{line}");
+    }
+    println!("{}", out.summary);
+    ExitCode::from(out.exit_code)
 }

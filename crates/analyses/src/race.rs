@@ -187,6 +187,12 @@ pub struct RacePredictor<P, W = P> {
 }
 
 impl<P: PartialOrderIndex, W: PartialOrderIndex> RacePredictor<P, W> {
+    /// Races predicted so far: those of completed windows (none before
+    /// [`finish`](Analysis::finish) when unwindowed), in report order.
+    pub fn races_so_far(&self) -> &[(NodeId, NodeId)] {
+        &self.races
+    }
+
     /// Runs candidate generation + witness checks over the buffered
     /// window (the whole trace when unwindowed).
     fn analyze_window(&mut self) {

@@ -76,7 +76,8 @@ impl Default for TsoCheckCfg {
 /// Result of a TSO consistency check.
 #[derive(Debug, Clone)]
 pub struct TsoReport<P> {
-    /// The final partial order over `2k` chains.
+    /// The final partial order over `2k` chains: issue chain `2t` and
+    /// commit chain `2t + 1` of the `t`-th thread to appear.
     pub po: P,
     /// Whether the history is TSO-consistent (no derived cycle).
     pub consistent: bool,
@@ -114,7 +115,16 @@ fn commit(t: ThreadId, idx: u32) -> NodeId {
 pub struct TsoChecker<P> {
     cfg: TsoCheckCfg,
     builder: BaseOrderBuilder<P>,
-    /// Global number of stores per thread (the next commit position).
+    /// Dense id of every recorded thread id seen so far (`u32::MAX`
+    /// when unseen). Threads are numbered in order of first appearance,
+    /// so chains `2t`/`2t + 1` stay in the index's range for any thread
+    /// id the trace formats admit; the base order and the report's
+    /// `po` are over dense ids.
+    dense: Vec<u32>,
+    /// Recorded thread id of each dense id.
+    recorded: Vec<ThreadId>,
+    /// Global number of stores per dense thread (the next commit
+    /// position).
     store_count: Vec<u32>,
     /// value → (store event, variable); persists across windows so
     /// cross-window observations are recognized (and skipped) rather
@@ -136,7 +146,10 @@ impl<P: PartialOrderIndex> TsoChecker<P> {
     /// load and per commit chain, only the boundary store is related;
     /// the rest follow by the FIFO order of the commit chain.
     fn fixpoint(&mut self) {
-        let k = self.store_count.len();
+        // Visit commit chains by recorded thread id, so the rules fire
+        // in the same order whatever the dense numbering.
+        let mut chains: Vec<usize> = (0..self.recorded.len()).collect();
+        chains.sort_unstable_by_key(|&t| self.recorded[t]);
         // Detach the lookup table so rule applications can borrow
         // `self` mutably; `apply` never touches it.
         let commits_at = std::mem::take(&mut self.commits_at);
@@ -163,7 +176,7 @@ impl<P: PartialOrderIndex> TsoChecker<P> {
                         // commits after the load; the first store per
                         // chain covers the rest through the FIFO commit
                         // order.
-                        for t in 0..k {
+                        for &t in &chains {
                             let Some(cps) = commits_at.get(&(var, t)) else {
                                 continue;
                             };
@@ -178,7 +191,7 @@ impl<P: PartialOrderIndex> TsoChecker<P> {
                     }
                     Some(s) => {
                         let cs = self.commit_of[&s];
-                        for t in 0..k {
+                        for &t in &chains {
                             let cchain = ThreadId(t as u32 * 2 + 1);
                             let Some(cps) = commits_at.get(&(var, t)) else {
                                 continue;
@@ -242,6 +255,20 @@ impl<P: PartialOrderIndex> TsoChecker<P> {
         }
     }
 
+    /// The dense id of `thread`, assigned on first appearance.
+    fn intern(&mut self, thread: ThreadId) -> ThreadId {
+        let i = thread.index();
+        if i >= self.dense.len() {
+            self.dense.resize(i + 1, u32::MAX);
+        }
+        if self.dense[i] == u32::MAX {
+            self.dense[i] = self.recorded.len() as u32;
+            self.recorded.push(thread);
+            self.store_count.push(0);
+        }
+        ThreadId(self.dense[i])
+    }
+
     fn retire(&mut self) {
         self.builder.retire_window();
         self.commit_of.clear();
@@ -258,6 +285,8 @@ impl<P: PartialOrderIndex> Analysis for TsoChecker<P> {
         TsoChecker {
             builder: BaseOrderBuilder::counting(cfg.window),
             cfg,
+            dense: Vec::new(),
+            recorded: Vec::new(),
             store_count: Vec::new(),
             writer_of_value: HashMap::new(),
             commit_of: HashMap::new(),
@@ -270,10 +299,8 @@ impl<P: PartialOrderIndex> Analysis for TsoChecker<P> {
     }
 
     fn feed(&mut self, thread: ThreadId, event: EventKind) {
+        let thread = self.intern(thread);
         let id = self.builder.feed(thread, event);
-        if thread.index() >= self.store_count.len() {
-            self.store_count.resize(thread.index() + 1, 0);
-        }
         match event {
             EventKind::Write { var, value } => {
                 let c = commit(thread, self.store_count[thread.index()]);

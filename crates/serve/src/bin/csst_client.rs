@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! csst-client --connect ADDR [--analysis NAME] [--index csst|st|vc|graph]
-//!             [--shards N] [--window N] [--format binary|text|rapid]
+//!             [--window N] [--format binary|text|rapid]
 //!             (--input FILE | --demo ANALYSIS) [--query Q]...
 //!             [--check-batch] [--shutdown] [--retry N]
 //!             [--stall-ms N] [--disconnect-after N]
@@ -13,11 +13,10 @@
 //! online, prints the final report, and exits with the report's exit
 //! code. `--check-batch` reruns the analysis locally through the batch
 //! registry and fails (exit 1) unless the two reports match exactly —
-//! the service-equals-batch check the CI smoke test is built on.
-//! (Note: the rapid format interns thread/lock ids by order of
-//! appearance, so `--check-batch --format rapid` can flag relabeled —
-//! not wrong — reports; use binary or text for exact comparison.)
-//! `--shutdown` stops the server afterwards.
+//! the service-equals-batch check the CI smoke test is built on. The
+//! rapid format interns thread and lock ids by order of appearance, so
+//! a `--demo` trace sent as rapid is relabeled first, exactly as the
+//! server will decode it. `--shutdown` stops the server afterwards.
 //!
 //! The robustness hooks: `--retry N` retries the connection with
 //! exponential backoff (for servers still starting up), `--stall-ms N`
@@ -68,11 +67,6 @@ fn parse_args() -> Result<Args, String> {
             "--connect" => args.connect = value(&mut it, "--connect")?,
             "--analysis" => args.hello.analysis = value(&mut it, "--analysis")?,
             "--index" => args.hello.index = value(&mut it, "--index")?,
-            "--shards" => {
-                args.hello.shards = value(&mut it, "--shards")?
-                    .parse()
-                    .map_err(|_| "--shards wants a number".to_string())?;
-            }
             "--window" => {
                 args.hello.window = Some(
                     value(&mut it, "--window")?
@@ -112,7 +106,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: csst-client --connect ADDR [--analysis NAME] [--index KIND] \
-                     [--shards N] [--window N] [--format binary|text|rapid] \
+                     [--window N] [--format binary|text|rapid] \
                      (--input FILE | --demo ANALYSIS) [--query Q]... [--check-batch] [--shutdown] \
                      [--retry N] [--stall-ms N] [--disconnect-after N]"
                 );
@@ -143,7 +137,11 @@ fn load_trace(args: &Args) -> Result<Trace, String> {
         };
     }
     let name = args.demo.as_deref().unwrap_or(&args.hello.analysis);
-    Ok(registry::resolve(name)?.demo_trace())
+    let demo = registry::resolve(name)?.demo_trace();
+    Ok(match args.hello.format {
+        WireFormat::Rapid => rapid::parse(&rapid::write(&demo)).map_err(|e| e.to_string())?,
+        _ => demo,
+    })
 }
 
 fn run(args: &Args) -> Result<u8, String> {

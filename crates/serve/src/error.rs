@@ -10,10 +10,8 @@
 //!   end one session with a structured ERROR frame; every other session
 //!   and the server itself keep running;
 //! * **component-fatal** errors ([`WorkerPanic`](ServeError::WorkerPanic))
-//!   report a panic caught at a worker or session boundary. A race
-//!   witness worker's panic is recovered inside the engine (the chunk
-//!   is re-checked sequentially), so the session still produces a
-//!   correct report; any other panic ends its session with a `panic:`
+//!   report a panic caught at a worker or session boundary; a panic
+//!   inside a session's analysis ends that session with a `panic:`
 //!   ERROR;
 //! * **recoverable** errors ([`Query`](ServeError::Query)) answer one
 //!   frame with an ERROR reply and leave the session open.
@@ -42,8 +40,8 @@ pub enum ServeError {
     /// An online query was malformed or unsupported; the session
     /// stays open.
     Query(String),
-    /// A shard or witness worker panicked; the message carries the
-    /// captured panic payload.
+    /// A session thread or shard worker panicked; the message carries
+    /// the captured panic payload.
     WorkerPanic(String),
     /// A bounded channel stayed full past the send deadline.
     Backpressure {

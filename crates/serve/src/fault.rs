@@ -9,7 +9,8 @@
 //! environment variable):
 //!
 //! ```text
-//! panic-witness=<slot>@<n>     race witness worker <slot> panics on its <n>th check
+//! panic-events=<n>             the session panics before feeding the <n>th EVENTS
+//!                              frame
 //! corrupt-events=<n>           the <n>th EVENTS payload is corrupted (seeded byte
 //!                              flip + clobbered record header)
 //! reset-conn=<n>               the connection is reset after <n> frames are read
@@ -20,17 +21,17 @@
 //! seed=<s>                     xorshift seed for the corrupt-byte choice
 //! ```
 //!
-//! The first three fire in `csst-serve` sessions. `panic-worker`,
-//! `delay-send` and `drop-send` fire only inside the library
-//! [`ShardedHb`](crate::ShardedHb) pipeline, which no session runs (hb
-//! sessions use the sequential detector); its unit tests use them.
+//! `panic-events`, `corrupt-events` and `reset-conn` fire in
+//! `csst-serve` sessions. `panic-worker`, `delay-send` and `drop-send`
+//! fire only inside the library [`ShardedHb`](crate::ShardedHb)
+//! pipeline, which no session runs; its unit tests use them.
 //!
-//! Items are comma-separated; counts are 1-based. Every trigger fires
-//! **exactly once** (atomic occurrence counters shared across clones),
-//! which is what makes recovery testable: after an injected witness
-//! panic, the sequential re-check of the same chunk does not re-fire
-//! the fault. All randomness is a seeded xorshift — two runs with the
-//! same plan and the same traffic inject the same faults.
+//! Items are comma-separated; counts are 1-based and server-wide (the
+//! `<n>`th EVENTS frame counts frames of every session). Every trigger
+//! fires **exactly once** (atomic occurrence counters shared across
+//! clones), so one injected fault hits one session and the sessions
+//! after it run clean. All randomness is a seeded xorshift — two runs
+//! with the same plan and the same traffic inject the same faults.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -41,8 +42,6 @@ use std::time::Duration;
 pub enum Site {
     /// One message processed by hb shard worker `slot`.
     WorkerMsg(usize),
-    /// One witness check run by race witness worker `slot`.
-    WitnessCheck(usize),
     /// One batch send to shard `slot`'s channel.
     Send(usize),
     /// One EVENTS frame payload about to be decoded.
@@ -54,7 +53,7 @@ pub enum Site {
 /// What a fired trigger does at its site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action {
-    /// Panic the current thread (`panic-worker`/`panic-witness`).
+    /// Panic the current thread (`panic-worker`/`panic-events`).
     Panic,
     /// Sleep before proceeding (`delay-send`).
     Delay(Duration),
@@ -154,10 +153,6 @@ impl FaultPlan {
                     let (slot, at) = parse_slot_at(value)?;
                     (Site::WorkerMsg(slot), at, Action::Panic)
                 }
-                "panic-witness" => {
-                    let (slot, at) = parse_slot_at(value)?;
-                    (Site::WitnessCheck(slot), at, Action::Panic)
-                }
                 "drop-send" => {
                     let (slot, at) = parse_slot_at(value)?;
                     (Site::Send(slot), at, Action::Drop)
@@ -172,6 +167,7 @@ impl FaultPlan {
                         Action::Delay(Duration::from_millis(ms)),
                     )
                 }
+                "panic-events" => (Site::EventsFrame, parse_at(value)?, Action::Panic),
                 "corrupt-events" => (Site::EventsFrame, parse_at(value)?, Action::Corrupt),
                 "reset-conn" => (Site::FrameRead, parse_at(value)?, Action::Reset),
                 _ => return Err(format!("unknown fault kind `{key}`")),
@@ -223,14 +219,6 @@ impl FaultPlan {
         }
     }
 
-    /// [`Site::WitnessCheck`] helper: panics with a recognizable
-    /// message when the trigger fires.
-    pub fn on_witness_check(&self, slot: usize) {
-        if self.fire(Site::WitnessCheck(slot)) == Some(Action::Panic) {
-            panic!("injected fault: witness worker {slot} panic");
-        }
-    }
-
     /// [`Site::Send`] helper: applies a delay in place and reports
     /// whether the batch must be dropped.
     pub fn on_send(&self, slot: usize) -> bool {
@@ -244,10 +232,13 @@ impl FaultPlan {
         }
     }
 
-    /// [`Site::EventsFrame`] helper: corrupts `payload` in place when
-    /// the trigger fires; returns whether it did.
+    /// [`Site::EventsFrame`] helper: panics (`panic-events`) or
+    /// corrupts `payload` in place (`corrupt-events`) when a trigger
+    /// fires; returns whether it corrupted.
     ///
-    /// Two mutations: a seeded byte flip somewhere in the payload
+    /// The panic stands for a bug inside the analysis: it unwinds the
+    /// session thread before the frame is fed. Corruption makes two
+    /// mutations: a seeded byte flip somewhere in the payload
     /// (position varies with `seed`), plus the first record's length
     /// prefix clobbered to an impossible value — a flipped value byte
     /// alone can still decode, and an injected corruption that goes
@@ -255,7 +246,11 @@ impl FaultPlan {
     /// What the decoder does with the mess (a positioned error, never
     /// a panic) is pinned separately by the CSTB corruption proptests.
     pub fn on_events_frame(&self, payload: &mut [u8]) -> bool {
-        if self.fire(Site::EventsFrame) == Some(Action::Corrupt) && !payload.is_empty() {
+        let action = self.fire(Site::EventsFrame);
+        if action == Some(Action::Panic) {
+            panic!("injected fault: session panic at an EVENTS frame");
+        }
+        if action == Some(Action::Corrupt) && !payload.is_empty() {
             let mut state = self.inner.seed;
             let pos = (xorshift(&mut state) as usize) % payload.len();
             let bit = (xorshift(&mut state) % 8) as u8;
@@ -311,6 +306,11 @@ mod tests {
         }
         assert!(plan.on_frame_read());
         assert!(!plan.on_frame_read());
+        // panic-events=2: the second EVENTS frame panics.
+        let plan = FaultPlan::parse("panic-events=2").unwrap();
+        assert_eq!(plan.fire(Site::EventsFrame), None);
+        assert_eq!(plan.fire(Site::EventsFrame), Some(Action::Panic));
+        assert_eq!(plan.fire(Site::EventsFrame), None, "one-shot");
     }
 
     #[test]
@@ -332,6 +332,8 @@ mod tests {
             "panic-worker=1",
             "panic-worker=x@1",
             "panic-worker=1@0",
+            "panic-events=0",
+            "panic-events=1@1",
             "delay-send=1@2",
             "frobnicate=1@2",
             "seed=xyz",

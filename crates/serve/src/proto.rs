@@ -8,8 +8,8 @@
 //! |---|---|
 //! | [`T_HELLO`] | open a session; payload = UTF-8 `key=value` pairs |
 //! | [`T_EVENTS`] | a chunk of trace events in the session's format |
-//! | [`T_QUERY`] | an online query against the merged prefix |
-//! | [`T_FINISH`] | end of stream: run/emit the final report |
+//! | [`T_QUERY`] | an online query over the events fed so far |
+//! | [`T_FINISH`] | end of stream: emit the final report |
 //! | [`T_SHUTDOWN`] | stop the whole server after this session |
 //!
 //! Server-to-client: [`T_OK`], [`T_REPORT`], [`T_ANSWER`] and
@@ -45,6 +45,7 @@
 //! have no Nagle algorithm; there the single write just saves two
 //! syscalls per frame.
 
+use csst_analyses::registry::RunOutput;
 use std::io::{self, Read, Write};
 
 /// Client→server: open a session.
@@ -191,7 +192,9 @@ pub struct Hello {
     pub index: String,
     /// Event encoding of the session's EVENTS frames.
     pub format: WireFormat,
-    /// Witness workers for `race` sessions; other analyses ignore it.
+    /// Accepted on the wire and ignored: every session runs its
+    /// analysis on the session thread. Kept so existing clients that
+    /// set it still build and connect.
     pub shards: usize,
     /// Tumbling-window size, if windowed.
     pub window: Option<usize>,
@@ -278,6 +281,16 @@ pub struct Report {
     pub summary: String,
     /// Per-finding detail lines.
     pub lines: Vec<String>,
+}
+
+impl From<RunOutput> for Report {
+    fn from(out: RunOutput) -> Self {
+        Report {
+            exit_code: out.exit_code,
+            summary: out.summary,
+            lines: out.lines,
+        }
+    }
 }
 
 impl Report {

@@ -3,15 +3,15 @@
 //! [`Server`] listens on a TCP or Unix socket, accepts any number of
 //! concurrent trace sessions (one thread per connection) and speaks
 //! the [`proto`](crate::proto) framing. Each session configures its
-//! analysis in the HELLO frame. `hb` sessions run the sequential
-//! [`HbDetector`] event by event and answer online queries from it;
-//! `race` sessions run [`ShardedRace`]; every other registry analysis
-//! runs in buffered batch mode at FINISH. A `csst` index maps to the
-//! same types as in the registry: hb runs on the fully dynamic `Csst`,
-//! and a windowed race session keeps its base order on `Csst` and its
-//! witness closures on `IncrementalCsst`. Reports are formatted by the
-//! [`registry`] functions the batch CLI uses, so a service report is
-//! byte-identical to `csst_analyze` over the same events.
+//! analysis, index and window in the HELLO frame and runs the
+//! [`registry::Session`] that [`registry::AnalysisEntry::open`] returns
+//! for them: events are fed as their frames arrive, QUERY frames are
+//! answered from the session, and FINISH returns its report. The batch
+//! CLI runs the same session over a recorded trace, so a service
+//! report is byte-identical to `csst_analyze` over the same events by
+//! construction. This module names no analysis and no index type; an
+//! index or window the analysis cannot take is refused at HELLO with
+//! the registry's message.
 //!
 //! ## Fault containment
 //!
@@ -22,9 +22,7 @@
 //! [`ServeError::code`]) and at worst ends *that* session, and socket
 //! reads/writes carry timeouts so a stalled peer cannot pin a thread
 //! forever. A panic inside an analysis ends its session with a
-//! `panic:` ERROR. `race` sessions recover from a panicking witness
-//! worker inside [`ShardedRace`] (the chunk is re-checked
-//! sequentially), so that panic never surfaces here.
+//! `panic:` ERROR; other sessions keep running.
 //!
 //! Shutdown is cooperative: a SHUTDOWN frame flips the server's stop
 //! flag; the accept loop (polling, non-blocking) notices, stops
@@ -38,16 +36,8 @@ use crate::proto::{
     read_frame, write_frame, Hello, Report, WireFormat, MAX_FRAME, T_ANSWER, T_ERROR, T_EVENTS,
     T_FINISH, T_HELLO, T_OK, T_QUERY, T_REPORT, T_SHUTDOWN,
 };
-use crate::race::ShardedRace;
-use csst_analyses::hb::HbDetector;
-use csst_analyses::race::RaceCfg;
-use csst_analyses::registry::{self, IndexKind, RunOutput};
-use csst_analyses::Analysis;
-use csst_core::{
-    Csst, GraphIndex, IncrementalCsst, NodeId, PartialOrderIndex, SegTreeIndex, ThreadId,
-    VectorClockIndex,
-};
-use csst_trace::{binary, rapid, text, EventKind, Trace};
+use csst_analyses::registry::{self, IndexKind, Session};
+use csst_trace::{binary, rapid, text};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -86,241 +76,8 @@ impl Default for ServerCfg {
     }
 }
 
-/// One streaming analysis session: events in, queries and a final
-/// report out.
-trait SessionEngine: Send {
-    /// Ingests one event.
-    fn feed(&mut self, thread: ThreadId, kind: EventKind) -> Result<(), ServeError>;
-    /// Answers an online query against the fully-merged prefix.
-    /// `Err(ServeError::Query(_))` answers the frame and keeps the
-    /// session open; any other error is session-fatal.
-    fn query(&mut self, q: &str) -> Result<String, ServeError>;
-    /// Produces the final report (same formatting as the batch CLI).
-    fn finish(self: Box<Self>) -> Result<Report, ServeError>;
-}
-
-fn report_from(out: RunOutput) -> Report {
-    Report {
-        exit_code: out.exit_code,
-        summary: out.summary,
-        lines: out.lines,
-    }
-}
-
-/// `ordered <t1> <p1> <t2> <p2>` → two node ids.
-fn parse_ordered_query(q: &str) -> Option<(NodeId, NodeId)> {
-    let mut it = q.split_whitespace();
-    if it.next()? != "ordered" {
-        return None;
-    }
-    let mut num = || it.next()?.parse::<u32>().ok();
-    let (t1, p1, t2, p2) = (num()?, num()?, num()?, num()?);
-    Some((NodeId::new(t1, p1), NodeId::new(t2, p2)))
-}
-
-/// The hb session engine: the sequential [`HbDetector`], fed one event
-/// at a time. It holds the index and the access frontier, never the
-/// stream itself.
-struct HbEngine<P: PartialOrderIndex> {
-    det: HbDetector<P>,
-    events: u64,
-}
-
-impl<P: PartialOrderIndex> HbEngine<P> {
-    fn new() -> Self {
-        HbEngine {
-            det: HbDetector::new(()),
-            events: 0,
-        }
-    }
-}
-
-impl<P: PartialOrderIndex> SessionEngine for HbEngine<P> {
-    fn feed(&mut self, thread: ThreadId, kind: EventKind) -> Result<(), ServeError> {
-        self.events += 1;
-        self.det.feed(thread, kind);
-        Ok(())
-    }
-
-    fn query(&mut self, q: &str) -> Result<String, ServeError> {
-        if let Some((a, b)) = parse_ordered_query(q) {
-            return Ok(self.det.index().reachable(a, b).to_string());
-        }
-        match q.trim() {
-            "races" => Ok(self.det.races().len().to_string()),
-            "events" => Ok(self.events.to_string()),
-            _ => Err(ServeError::Query(format!(
-                "unknown query `{q}`; hb supports `ordered t1 p1 t2 p2`, `races`, `events`"
-            ))),
-        }
-    }
-
-    fn finish(self: Box<Self>) -> Result<Report, ServeError> {
-        let r = self.det.finish();
-        Ok(report_from(registry::hb_report(&r.races, r.sync_edges)))
-    }
-}
-
-/// The race session engine: [`ShardedRace`] on base order `P` and
-/// witness index `W`.
-struct RaceEngine<P, W> {
-    race: ShardedRace<P, W>,
-}
-
-impl<P: PartialOrderIndex, W: PartialOrderIndex> SessionEngine for RaceEngine<P, W> {
-    fn feed(&mut self, thread: ThreadId, kind: EventKind) -> Result<(), ServeError> {
-        // Witness-worker panics are already recovered inside the
-        // sharded predictor (sequential chunk retry); an error here is
-        // genuinely fatal.
-        self.race.feed(thread, kind)
-    }
-
-    fn query(&mut self, q: &str) -> Result<String, ServeError> {
-        match q.trim() {
-            "races" => Ok(self.race.races_so_far().len().to_string()),
-            _ => Err(ServeError::Query(format!(
-                "unknown query `{q}`; race supports `races` (completed windows only)"
-            ))),
-        }
-    }
-
-    fn finish(self: Box<Self>) -> Result<Report, ServeError> {
-        let r = self.race.finish()?;
-        Ok(report_from(registry::race_report(&r.races, r.candidates)))
-    }
-}
-
-/// Fallback for the registry analyses without a sharded engine:
-/// buffer the stream, run the batch entry at FINISH.
-struct BatchEngine {
-    name: String,
-    index: IndexKind,
-    window: Option<usize>,
-    trace: Trace,
-}
-
-impl SessionEngine for BatchEngine {
-    fn feed(&mut self, thread: ThreadId, kind: EventKind) -> Result<(), ServeError> {
-        self.trace.push(thread, kind);
-        Ok(())
-    }
-
-    fn query(&mut self, q: &str) -> Result<String, ServeError> {
-        match q.trim() {
-            "events" => Ok(self.trace.total_events().to_string()),
-            _ => Err(ServeError::Query(format!(
-                "analysis `{}` runs in batch mode; only `events` is queryable online",
-                self.name
-            ))),
-        }
-    }
-
-    fn finish(self: Box<Self>) -> Result<Report, ServeError> {
-        let entry = match registry::resolve(&self.name) {
-            Ok(entry) => entry,
-            Err(e) => {
-                return Ok(Report {
-                    exit_code: 2,
-                    summary: e,
-                    lines: Vec::new(),
-                })
-            }
-        };
-        // The batch run is the session's compute; a panic inside an
-        // analysis must not take the session thread down silently.
-        let run = AssertUnwindSafe(|| entry.run(&self.trace, self.index, self.window));
-        match catch_unwind(run) {
-            Ok(Ok(out)) => Ok(report_from(out)),
-            Ok(Err(e)) => Ok(Report {
-                exit_code: 2,
-                summary: e,
-                lines: Vec::new(),
-            }),
-            Err(payload) => Err(ServeError::WorkerPanic(format!(
-                "batch analysis `{}`: {}",
-                self.name,
-                panic_message(payload.as_ref())
-            ))),
-        }
-    }
-}
-
-/// Builds the session engine a HELLO asks for.
-fn make_engine(hello: &Hello, cfg: &ServerCfg) -> Result<Box<dyn SessionEngine>, String> {
-    let index = IndexKind::parse(&hello.index)
-        .ok_or_else(|| format!("unknown index `{}` (csst|st|vc|graph)", hello.index))?;
-    match hello.analysis.as_str() {
-        "hb" => {
-            if hello.window.is_some() {
-                return Err(
-                    "hb is genuinely online and buffers nothing; windowing does not apply".into(),
-                );
-            }
-            // The index types mirror `registry::run_hb_entry`: hb's
-            // append-heavy, probe-light traffic runs `csst` on the
-            // fully dynamic `Csst`.
-            Ok(match index {
-                IndexKind::Csst => Box::new(HbEngine::<Csst>::new()),
-                IndexKind::SegTree => Box::new(HbEngine::<SegTreeIndex>::new()),
-                IndexKind::VectorClock => Box::new(HbEngine::<VectorClockIndex>::new()),
-                IndexKind::Graph => Box::new(HbEngine::<GraphIndex>::new()),
-            })
-        }
-        "race" => {
-            let race_cfg = RaceCfg {
-                window: hello.window,
-                ..Default::default()
-            };
-            let shards = hello.shards;
-            let faults = cfg.faults.clone();
-            // The index types mirror the registry's `streaming_dispatch!`:
-            // a windowed `csst` base order deletes and runs on `Csst`,
-            // while its insert-only witness closures run on
-            // `IncrementalCsst`.
-            Ok(match (hello.window, index) {
-                (None, IndexKind::Csst) => Box::new(RaceEngine {
-                    race: ShardedRace::<IncrementalCsst>::with_faults(race_cfg, shards, faults),
-                }),
-                (None, IndexKind::SegTree) => Box::new(RaceEngine {
-                    race: ShardedRace::<SegTreeIndex>::with_faults(race_cfg, shards, faults),
-                }),
-                (None, IndexKind::VectorClock) => Box::new(RaceEngine {
-                    race: ShardedRace::<VectorClockIndex>::with_faults(race_cfg, shards, faults),
-                }),
-                (None, IndexKind::Graph) => Box::new(RaceEngine {
-                    race: ShardedRace::<GraphIndex>::with_faults(race_cfg, shards, faults),
-                }),
-                (Some(_), IndexKind::Csst) => Box::new(RaceEngine {
-                    race: ShardedRace::<Csst, IncrementalCsst>::with_faults(
-                        race_cfg, shards, faults,
-                    ),
-                }),
-                (Some(_), IndexKind::Graph) => Box::new(RaceEngine {
-                    race: ShardedRace::<GraphIndex>::with_faults(race_cfg, shards, faults),
-                }),
-                (Some(_), other) => {
-                    return Err(format!(
-                        "windowed runs retire edges and need a fully dynamic index \
-                         (csst|graph), got `{}`",
-                        other.name()
-                    ))
-                }
-            })
-        }
-        other => {
-            registry::resolve(other)?;
-            Ok(Box::new(BatchEngine {
-                name: other.to_string(),
-                index,
-                window: hello.window,
-                trace: Trace::new(0),
-            }))
-        }
-    }
-}
-
 fn feed_events(
-    engine: &mut dyn SessionEngine,
+    session: &mut dyn Session,
     format: WireFormat,
     payload: &[u8],
 ) -> Result<(), ServeError> {
@@ -329,7 +86,7 @@ fn feed_events(
             for (thread, kind) in
                 binary::decode_events(payload).map_err(|e| ServeError::Decode(e.to_string()))?
             {
-                engine.feed(thread, kind)?;
+                session.feed(thread, kind);
             }
         }
         WireFormat::Text | WireFormat::Rapid => {
@@ -341,11 +98,18 @@ fn feed_events(
             }
             .map_err(|e| ServeError::Decode(e.to_string()))?;
             for (id, ev) in trace.iter_order() {
-                engine.feed(id.thread, ev.kind)?;
+                session.feed(id.thread, ev.kind);
             }
         }
     }
     Ok(())
+}
+
+/// Opens the registry session a HELLO asks for.
+fn open_session(hello: &Hello) -> Result<Box<dyn Session>, String> {
+    let index = IndexKind::parse(&hello.index)
+        .ok_or_else(|| format!("unknown index `{}` (csst|st|vc|graph)", hello.index))?;
+    registry::resolve(&hello.analysis)?.open(index, hello.window)
 }
 
 /// Classifies a frame-read failure: `Some(err)` is answered with a
@@ -464,8 +228,8 @@ fn handle_session<S: SessionStream>(stream: &mut S, cfg: &ServerCfg) -> bool {
         }
         Ok(None) | Err(()) => return false,
     };
-    let mut engine = match make_engine(&hello, cfg) {
-        Ok(engine) => engine,
+    let mut session = match open_session(&hello) {
+        Ok(session) => session,
         Err(e) => {
             send_fatal(stream, &ServeError::Protocol(e));
             return false;
@@ -481,7 +245,7 @@ fn handle_session<S: SessionStream>(stream: &mut S, cfg: &ServerCfg) -> bool {
                 // decoder must turn it into a structured error, never
                 // a panic (the CSTB proptests pin totality).
                 let _ = cfg.faults.on_events_frame(&mut payload);
-                if let Err(e) = feed_events(engine.as_mut(), hello.format, &payload) {
+                if let Err(e) = feed_events(session.as_mut(), hello.format, &payload) {
                     // Malformed events poison the session (the stream
                     // position is unknowable); report and stop.
                     send_fatal(stream, &e);
@@ -490,28 +254,18 @@ fn handle_session<S: SessionStream>(stream: &mut S, cfg: &ServerCfg) -> bool {
             }
             Ok(Some((T_QUERY, payload))) => {
                 let q = String::from_utf8_lossy(&payload);
-                match engine.query(&q) {
+                match session.query(&q) {
                     Ok(answer) => {
                         if write_frame(stream, T_ANSWER, answer.as_bytes()).is_err() {
                             return false;
                         }
                     }
-                    Err(e) => {
-                        if e.is_session_fatal() {
-                            send_fatal(stream, &e);
-                            return false;
-                        }
-                        send_error(stream, &e);
-                    }
+                    Err(e) => send_error(stream, &ServeError::Query(e)),
                 }
             }
             Ok(Some((T_FINISH, _))) => {
-                match engine.finish() {
-                    Ok(report) => {
-                        let _ = write_frame(stream, T_REPORT, &report.encode());
-                    }
-                    Err(e) => send_fatal(stream, &e),
-                }
+                let report = Report::from(session.finish());
+                let _ = write_frame(stream, T_REPORT, &report.encode());
                 return false;
             }
             Ok(Some((T_SHUTDOWN, _))) => {
@@ -707,9 +461,9 @@ fn refuse(stream: &mut impl SessionStream, at_capacity: bool) {
 }
 
 /// The per-connection thread body: [`handle_session`] under a
-/// `catch_unwind` boundary, so even a bug that escapes the per-engine
-/// containment ends one session (with a best-effort ERROR frame), not
-/// the server.
+/// `catch_unwind` boundary, so a panic inside the analysis (or any
+/// other bug) ends one session with a best-effort `panic:` ERROR
+/// frame, not the server.
 fn session_thread<S: SessionStream>(stream: &mut S, cfg: &ServerCfg) -> bool {
     match catch_unwind(AssertUnwindSafe(|| handle_session(stream, cfg))) {
         Ok(shutdown) => shutdown,

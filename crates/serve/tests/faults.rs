@@ -29,63 +29,52 @@ fn batch_report(analysis: &str) -> (u8, String, Vec<String>) {
 }
 
 fn run_hb_session(addr: &str) -> csst_serve::Report {
-    let hello = Hello {
-        analysis: "hb".into(),
-        index: "csst".into(),
-        format: WireFormat::Binary,
-        shards: 1,
-        window: None,
-    };
-    let mut client = Client::open(addr, &hello).expect("open hb session");
+    let mut client = Client::open(addr, &Hello::default()).expect("open hb session");
     client
         .send_trace(&registry::find("hb").unwrap().demo_trace())
         .expect("send");
     client.finish().expect("hb report")
 }
 
-/// A witness worker that panics inside a `race` session is contained
-/// by the engine: its chunk is re-checked sequentially, so the report
-/// still equals the batch CLI's, and a concurrent hb session is
-/// untouched. The server still exits 0 on SHUTDOWN.
+/// A panic inside one session's analysis ends that session with a
+/// `panic:` ERROR and nothing else: an hb session opened before it
+/// still finishes byte-identical to the batch CLI, and the server still
+/// exits 0 on SHUTDOWN.
 #[test]
-fn witness_panic_in_a_race_session_reports_match_batch() {
-    let faults = FaultPlan::parse("panic-witness=0@1").unwrap();
+fn session_panic_spares_an_open_healthy_session() {
+    let faults = FaultPlan::parse("panic-events=1").unwrap();
     let cfg = ServerCfg {
         faults: faults.clone(),
         ..Default::default()
     };
     let (addr, handle) = spawn_server_with(cfg);
 
-    let race = {
-        let addr = addr.clone();
-        std::thread::spawn(move || {
-            let hello = Hello {
-                analysis: "race".into(),
-                index: "csst".into(),
-                format: WireFormat::Binary,
-                shards: 2,
-                window: None,
-            };
-            let mut client = Client::open(&addr, &hello).expect("open race session");
-            client
-                .send_trace(&registry::find("race").unwrap().demo_trace())
-                .expect("send");
-            client.finish().expect("race report")
-        })
+    // Opened first; it sends no EVENTS frame until the victim is gone.
+    let mut healthy = Client::open(&addr, &Hello::default()).expect("open healthy session");
+
+    let hello = Hello {
+        analysis: "race".into(),
+        ..Hello::default()
     };
-    let hb = {
-        let addr = addr.clone();
-        std::thread::spawn(move || run_hb_session(&addr))
-    };
-    for (analysis, report) in [("race", race.join().unwrap()), ("hb", hb.join().unwrap())] {
-        let (code, summary, lines) = batch_report(analysis);
-        assert_eq!(
-            (report.exit_code, report.summary, report.lines),
-            (code, summary, lines),
-            "{analysis}"
-        );
-    }
+    let mut victim = Client::open(&addr, &hello).expect("open victim session");
+    let err = victim
+        .send_trace(&registry::find("race").unwrap().demo_trace())
+        .and_then(|()| victim.finish())
+        .expect_err("the victim session must fail");
+    let msg = err.to_string();
+    assert!(msg.starts_with("panic:"), "{msg}");
+    assert!(msg.contains("injected fault"), "{msg}");
     assert_eq!(faults.fired(), 1, "the injected panic must have hit");
+
+    healthy
+        .send_trace(&registry::find("hb").unwrap().demo_trace())
+        .expect("send");
+    let report = healthy.finish().expect("healthy report");
+    let (code, summary, lines) = batch_report("hb");
+    assert_eq!(
+        (report.exit_code, report.summary, report.lines),
+        (code, summary, lines)
+    );
 
     Client::shutdown_server(&addr).expect("shutdown");
     handle.join().unwrap().expect("server exits cleanly");

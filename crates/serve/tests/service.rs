@@ -30,21 +30,63 @@ fn batch_report(analysis: &str, index: &str, window: Option<usize>) -> (u8, Stri
     (out.exit_code, out.summary, out.lines)
 }
 
+/// Every registry analysis × every index × window {none, 64}, streamed
+/// as a session over its demo trace. A combination the registry cannot
+/// open fails at HELLO with the registry's message; every other one
+/// counts the events fed and reports exactly what the batch run
+/// reports.
+#[test]
+fn every_registry_session_matches_batch() {
+    let (addr, handle) = spawn_server();
+    for entry in registry::entries() {
+        let trace = entry.demo_trace();
+        for index in IndexKind::ALL {
+            for window in [None, Some(64)] {
+                let case = format!("{} on {} with window {window:?}", entry.name, index.name());
+                let hello = Hello {
+                    analysis: entry.name.into(),
+                    index: index.name().into(),
+                    window,
+                    ..Hello::default()
+                };
+                if let Err(msg) = entry.open(index, window) {
+                    let err = Client::open(&addr, &hello)
+                        .err()
+                        .unwrap_or_else(|| panic!("{case}: HELLO must fail"));
+                    assert_eq!(err.to_string(), format!("protocol: {msg}"), "{case}");
+                    continue;
+                }
+                // The batch run overlaps the session: graph runs of the
+                // larger demos take seconds in unoptimized builds.
+                let (report, out) = std::thread::scope(|s| {
+                    let batch = s.spawn(|| entry.run(&trace, index, window).unwrap());
+                    let mut client = Client::open(&addr, &hello).expect("open session");
+                    client.send_trace(&trace).expect("send");
+                    let events = client.query("events").expect("events query");
+                    assert_eq!(events, trace.total_events().to_string(), "{case}");
+                    (client.finish().expect("report"), batch.join().unwrap())
+                });
+                assert_eq!(
+                    (report.exit_code, report.summary, report.lines),
+                    (out.exit_code, out.summary, out.lines),
+                    "{case}"
+                );
+            }
+        }
+    }
+    Client::shutdown_server(&addr).expect("shutdown");
+    handle.join().unwrap().expect("server exits cleanly");
+}
+
 #[test]
 fn concurrent_sessions_match_batch_and_shutdown_is_clean() {
     let (addr, handle) = spawn_server();
 
-    // Two concurrent sessions with different analyses, formats and
-    // shard counts, plus online queries on the hb session.
+    // Two concurrent sessions with different analyses and formats,
+    // plus online queries on both.
     let addr_hb = addr.clone();
     let hb_session = std::thread::spawn(move || {
-        let hello = Hello {
-            analysis: "hb".into(),
-            index: "csst".into(),
-            format: WireFormat::Binary,
-            shards: 2,
-            window: None,
-        };
+        let hello = Hello::default();
         let mut client = Client::open(&addr_hb, &hello).expect("open hb session");
         let trace = registry::find("hb").unwrap().demo_trace();
         client.send_trace(&trace).expect("send");
@@ -58,15 +100,15 @@ fn concurrent_sessions_match_batch_and_shutdown_is_clean() {
     let race_session = std::thread::spawn(move || {
         let hello = Hello {
             analysis: "race".into(),
-            index: "csst".into(),
             format: WireFormat::Text,
-            shards: 3,
-            window: None,
+            ..Hello::default()
         };
         let mut client = Client::open(&addr_race, &hello).expect("open race session");
         client
             .send_trace(&registry::find("race").unwrap().demo_trace())
             .expect("send");
+        // Unwindowed, races are predicted at FINISH only.
+        assert_eq!(client.query("races").expect("races query"), "0");
         client.finish().expect("race report")
     });
 
@@ -113,27 +155,32 @@ fn tcp_query_round_trips_do_not_stall() {
     handle.join().unwrap().expect("server exits cleanly");
 }
 
-/// A windowed `race`/`csst` session runs `ShardedRace<Csst,
+/// A windowed `race`/`csst` session runs `RacePredictor<Csst,
 /// IncrementalCsst>`: the deleting base order on the fully dynamic
-/// CSST, the witness closures on the incremental one, fanned over two
-/// workers. Its report must equal the batch CLI's.
+/// CSST, the witness closures on the incremental one. Its `races`
+/// query counts the races of completed windows, and its report must
+/// equal the batch CLI's.
 #[test]
 fn windowed_race_session_with_incremental_witnesses_matches_batch() {
     let (addr, handle) = spawn_server();
     let hello = Hello {
         analysis: "race".into(),
-        index: "csst".into(),
-        format: WireFormat::Binary,
-        shards: 2,
         window: Some(64),
+        ..Hello::default()
     };
     let mut client = Client::open(&addr, &hello).expect("open race session");
     client
         .send_trace(&registry::find("race").unwrap().demo_trace())
         .expect("send");
+    let so_far: usize = client.query("races").expect("races query").parse().unwrap();
     let report = client.finish().expect("race report");
     let (code, summary, lines) = batch_report("race", "csst", Some(64));
     assert!(!lines.is_empty(), "the windowed demo must predict races");
+    assert!(
+        so_far > 0 && so_far <= lines.len(),
+        "{so_far} races of completed windows, {} in all",
+        lines.len()
+    );
     assert_eq!(
         (report.exit_code, report.summary, report.lines),
         (code, summary, lines)
@@ -147,21 +194,21 @@ fn windowed_race_session_with_incremental_witnesses_matches_batch() {
 fn batch_fallback_windowed_and_query_errors() {
     let (addr, handle) = spawn_server();
 
-    // A non-sharded analysis runs through the batch fallback engine,
-    // windowed, and still matches the local registry run.
+    // A windowed deadlock session over the rapid format matches the
+    // local registry run.
     let hello = Hello {
         analysis: "deadlock".into(),
-        index: "csst".into(),
         format: WireFormat::Rapid,
-        shards: 1,
         window: Some(128),
+        ..Hello::default()
     };
     let mut client = Client::open(&addr, &hello).expect("open session");
     let demo = registry::find("deadlock").unwrap().demo_trace();
     client.send_trace(&demo).expect("send");
-    // Online queries are limited in batch mode; unknown ones error
-    // without killing the session.
-    assert!(client.query("races").is_err());
+    // deadlock answers only `events`; an unknown query errors without
+    // ending the session.
+    let err = client.query("races").unwrap_err().to_string();
+    assert!(err.starts_with("query: unknown query `races`"), "{err}");
     let report = client.finish().expect("report");
     // The rapid format interns thread/lock ids by order of appearance,
     // so the server analyzed the *relabeled* trace; compare against

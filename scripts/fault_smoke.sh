@@ -2,7 +2,7 @@
 # Chaos suite for csst-serve: each scenario boots a fresh server with a
 # deterministic fault (injected via --faults, or provoked by a
 # misbehaving client), checks that exactly the targeted session fails
-# with the expected structured error (or recovers inside its engine), proves the server
+# with the expected structured error, proves the server
 # still serves a healthy follow-up session, and finishes with a clean
 # SHUTDOWN whose exit code (including the server's own) is checked.
 #
@@ -91,27 +91,36 @@ healthy_session() {
     fi
 }
 
-# --- Scenario 1: witness-worker panic in a race session -------------
-# The injected panic kills one witness worker of the race session; the
-# engine re-checks that chunk sequentially, so the report must still
-# be byte-identical to the batch analyzer, while a concurrent hb
-# session and the server itself are unaffected.
-echo "fault_smoke: scenario witness-panic"
-start_server panic.serve --faults panic-witness=0@1
+# --- Scenario 1: a panic inside one session -------------------------
+# A healthy hb session opens first and stalls before streaming. The
+# victim session then panics before its first EVENTS frame (the first
+# frame the server sees) and must get a `panic:` ERROR, while the
+# healthy session, once it streams, still matches the batch analyzer
+# byte for byte.
+echo "fault_smoke: scenario session-panic"
+start_server panic.serve --faults panic-events=1
 code=0
-"$client" --connect "$addr" --analysis race --index csst --shards 2 \
-    --format binary --check-batch >"$logdir/panic.client" 2>&1 &
-victim_pid=$!
-healthy_session panic.healthy
-wait "$victim_pid" || code=$?
-if [[ "$code" != "1" ]] ||
-    ! grep -q "service report matches the batch analyzer" "$logdir/panic.client"; then
-    echo "fault_smoke: race session exited $code or mismatched batch" >&2
+"$client" --connect "$addr" --analysis hb --index csst --format binary \
+    --stall-ms 2000 --check-batch >"$logdir/panic.healthy" 2>&1 &
+healthy_pid=$!
+sleep 0.5
+"$client" --connect "$addr" --analysis race --index csst \
+    --format binary >"$logdir/panic.client" 2>&1 || code=$?
+if [[ "$code" != "2" ]] || ! grep -q "panic:" "$logdir/panic.client"; then
+    echo "fault_smoke: panicked session exited $code (want 2 with panic: error)" >&2
     cat "$logdir/panic.client" >&2
     fail=1
 fi
-if ! grep -q "injected fault: witness worker 0 panic" "$logdir/panic.serve"; then
-    echo "fault_smoke: the injected witness panic never fired" >&2
+code=0
+wait "$healthy_pid" || code=$?
+if [[ "$code" != "1" ]] ||
+    ! grep -q "service report matches the batch analyzer" "$logdir/panic.healthy"; then
+    echo "fault_smoke: healthy session exited $code or mismatched batch" >&2
+    cat "$logdir/panic.healthy" >&2
+    fail=1
+fi
+if ! grep -q "injected fault: session panic" "$logdir/panic.serve"; then
+    echo "fault_smoke: the injected session panic never fired" >&2
     cat "$logdir/panic.serve" >&2
     fail=1
 fi
@@ -179,4 +188,4 @@ if [[ "$fail" != "0" ]]; then
     echo "fault_smoke FAILED" >&2
     exit 1
 fi
-echo "fault_smoke OK: witness-panic, corrupt-frame, slow-client, mid-stream-disconnect all contained"
+echo "fault_smoke OK: session-panic, corrupt-frame, slow-client, mid-stream-disconnect all contained"

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the csst-serve service over loopback TCP:
-# starts the server, runs two *concurrent* client sessions (sharded hb
-# over the binary wire format, sharded race over text), each with
-# --check-batch so the streamed report must match the local batch
-# analyzer byte-for-byte, then asks the server to shut down and checks
-# every exit code — including the server's own.
+# starts the server, runs four *concurrent* client sessions (hb over
+# the binary wire format, race over text, windowed tso over binary and
+# windowed deadlock over rapid), each with --check-batch so the
+# streamed report must match the local batch analyzer byte-for-byte,
+# then asks the server to shut down and checks every exit code —
+# including the server's own.
 #
 #   scripts/serve_smoke.sh [--release]
 #
@@ -49,33 +50,46 @@ if [[ -z "$addr" ]]; then
 fi
 echo "serve_smoke: server at $addr (pid $server_pid)"
 
-# Two sessions at once: different analyses and formats (hb sessions
-# run sequentially; the race session fans its witness checks out over
-# 4 shards). The hb demo contains races, so its session (and the
-# matching batch run) exits 1 — that is the *expected* code, not a
-# failure.
+# Four sessions at once: different analyses, formats and windows,
+# each fed event by event into its registry session. The hb and race
+# demos contain races and the deadlock demo contains deadlocks, so
+# those sessions (and the matching batch runs) exit 1 — the *expected*
+# code, not a failure; the tso demo is consistent and exits 0.
 "$client" --connect "$addr" --analysis hb --index csst \
     --format binary --query events --query races --check-batch \
     >"$logdir/hb.out" 2>&1 &
 hb_pid=$!
-"$client" --connect "$addr" --analysis race --index csst --shards 4 \
-    --format text --check-batch \
+"$client" --connect "$addr" --analysis race --index csst \
+    --format text --query races --check-batch \
     >"$logdir/race.out" 2>&1 &
 race_pid=$!
+"$client" --connect "$addr" --analysis tso --index csst --window 64 \
+    --format binary --query events --check-batch \
+    >"$logdir/tso.out" 2>&1 &
+tso_pid=$!
+"$client" --connect "$addr" --analysis deadlock --index csst --window 64 \
+    --format rapid --query events --check-batch \
+    >"$logdir/deadlock.out" 2>&1 &
+deadlock_pid=$!
 
 hb_code=0; wait "$hb_pid" || hb_code=$?
 race_code=0; wait "$race_pid" || race_code=$?
+tso_code=0; wait "$tso_pid" || tso_code=$?
+deadlock_code=0; wait "$deadlock_pid" || deadlock_code=$?
+hb_want=1; race_want=1; tso_want=0; deadlock_want=1
 
 fail=0
-for session in hb race; do
+for session in hb race tso deadlock; do
     code_var="${session}_code"
+    want_var="${session}_want"
     code="${!code_var}"
-    if [[ "$code" != "1" ]]; then
-        # Both demo traces are racy: exit 1 means "analysis ran, races
-        # found, reports matched". 0 would mean the demo lost its
-        # races; 2+ is a transport/usage error; --check-batch mismatch
-        # also forces 1 but prints MISMATCH, checked below.
-        echo "serve_smoke: $session session exited $code (want 1)" >&2
+    want="${!want_var}"
+    if [[ "$code" != "$want" ]]; then
+        # The exit code is the analysis's verdict on its demo trace; a
+        # different one means the demo lost its findings, 2+ is a
+        # transport/usage error, and a --check-batch mismatch forces 1
+        # but prints MISMATCH, checked below.
+        echo "serve_smoke: $session session exited $code (want $want)" >&2
         fail=1
     fi
     if ! grep -q "check-batch: service report matches the batch analyzer" \
@@ -125,4 +139,4 @@ if [[ "$server_code" != "0" ]]; then
     exit 1
 fi
 
-echo "serve_smoke OK: two concurrent sessions matched the batch analyzer, unclean disconnect absorbed, clean shutdown"
+echo "serve_smoke OK: four concurrent sessions matched the batch analyzer, unclean disconnect absorbed, clean shutdown"
