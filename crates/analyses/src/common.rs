@@ -10,7 +10,6 @@
 
 use csst_core::{NodeId, PartialOrderIndex, PoError, Pos, ThreadId};
 use csst_trace::{EventKind, Trace, VarId};
-use std::cell::Cell;
 use std::collections::HashMap;
 
 /// Creates an index pre-sized for `trace`: one chain per thread,
@@ -499,15 +498,6 @@ impl<P: PartialOrderIndex> PartialOrderIndex for WindowIndex<'_, P> {
         self.po.insert_edge_raw(from, to);
     }
 
-    fn insert_edges_raw(&mut self, edges: &[(NodeId, NodeId)]) {
-        let translated: Vec<(NodeId, NodeId)> = edges
-            .iter()
-            .map(|&(f, t)| (self.to_global(f), self.to_global(t)))
-            .collect();
-        self.window_edges.extend_from_slice(&translated);
-        self.po.insert_edges_raw(&translated);
-    }
-
     fn delete_edge_raw(&mut self, from: NodeId, to: NodeId) -> Result<(), PoError> {
         let (from, to) = (self.to_global(from), self.to_global(to));
         self.po.delete_edge_raw(from, to)?;
@@ -603,174 +593,6 @@ impl<P: PartialOrderIndex> PartialOrderIndex for WindowIndex<'_, P> {
     }
 }
 
-/// Operation counters shared by [`CountingIndex`]; interior-mutable so
-/// queries through `&self` can count.
-#[derive(Debug, Clone, Default)]
-pub struct OpCounters {
-    /// `insert_edge` calls.
-    pub inserts: Cell<u64>,
-    /// `delete_edge` calls.
-    pub deletes: Cell<u64>,
-    /// `reachable` calls.
-    pub reachables: Cell<u64>,
-    /// `successor` calls.
-    pub successors: Cell<u64>,
-    /// `predecessor` calls.
-    pub predecessors: Cell<u64>,
-}
-
-impl OpCounters {
-    /// Total updates (inserts + deletes).
-    pub fn updates(&self) -> u64 {
-        self.inserts.get() + self.deletes.get()
-    }
-
-    /// Total queries.
-    pub fn queries(&self) -> u64 {
-        self.reachables.get() + self.successors.get() + self.predecessors.get()
-    }
-}
-
-/// A transparent wrapper counting every operation issued to the inner
-/// index — the instrumentation behind the op-mix columns of
-/// EXPERIMENTS.md.
-///
-/// ```
-/// use csst_analyses::CountingIndex;
-/// use csst_core::{Csst, NodeId, PartialOrderIndex};
-///
-/// let mut po: CountingIndex<Csst> = CountingIndex::new();
-/// po.insert_edge(NodeId::new(0, 1), NodeId::new(1, 2)).unwrap();
-/// po.reachable(NodeId::new(0, 0), NodeId::new(1, 5));
-/// assert_eq!(po.counters().inserts.get(), 1);
-/// assert_eq!(po.counters().reachables.get(), 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct CountingIndex<P> {
-    inner: P,
-    counters: OpCounters,
-}
-
-impl<P: PartialOrderIndex> CountingIndex<P> {
-    /// The counters accumulated so far.
-    pub fn counters(&self) -> &OpCounters {
-        &self.counters
-    }
-
-    /// The wrapped index.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
-    /// Unwraps the inner index.
-    pub fn into_inner(self) -> P {
-        self.inner
-    }
-}
-
-impl<P: PartialOrderIndex> PartialOrderIndex for CountingIndex<P> {
-    fn new() -> Self {
-        CountingIndex {
-            inner: P::new(),
-            counters: OpCounters::default(),
-        }
-    }
-
-    fn with_capacity(chains: usize, chain_capacity: usize) -> Self {
-        CountingIndex {
-            inner: P::with_capacity(chains, chain_capacity),
-            counters: OpCounters::default(),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn chains(&self) -> usize {
-        self.inner.chains()
-    }
-
-    fn chain_len(&self, chain: ThreadId) -> usize {
-        self.inner.chain_len(chain)
-    }
-
-    fn ensure_chain(&mut self, chain: ThreadId) {
-        self.inner.ensure_chain(chain);
-    }
-
-    fn ensure_len(&mut self, chain: ThreadId, len: usize) {
-        self.inner.ensure_len(chain, len);
-    }
-
-    fn insert_edge_raw(&mut self, from: NodeId, to: NodeId) {
-        self.counters.inserts.set(self.counters.inserts.get() + 1);
-        self.inner.insert_edge_raw(from, to)
-    }
-
-    fn insert_edges_raw(&mut self, edges: &[(NodeId, NodeId)]) {
-        self.counters
-            .inserts
-            .set(self.counters.inserts.get() + edges.len() as u64);
-        self.inner.insert_edges_raw(edges)
-    }
-
-    fn delete_edge_raw(&mut self, from: NodeId, to: NodeId) -> Result<(), PoError> {
-        self.counters.deletes.set(self.counters.deletes.get() + 1);
-        self.inner.delete_edge_raw(from, to)
-    }
-
-    fn reachable(&self, from: NodeId, to: NodeId) -> bool {
-        self.counters
-            .reachables
-            .set(self.counters.reachables.get() + 1);
-        self.inner.reachable(from, to)
-    }
-
-    fn successor(&self, from: NodeId, chain: ThreadId) -> Option<Pos> {
-        self.counters
-            .successors
-            .set(self.counters.successors.get() + 1);
-        self.inner.successor(from, chain)
-    }
-
-    fn predecessor(&self, from: NodeId, chain: ThreadId) -> Option<Pos> {
-        self.counters
-            .predecessors
-            .set(self.counters.predecessors.get() + 1);
-        self.inner.predecessor(from, chain)
-    }
-
-    fn reachable_batch(&self, probes: &[(NodeId, NodeId)], out: &mut Vec<bool>) {
-        self.counters
-            .reachables
-            .set(self.counters.reachables.get() + probes.len() as u64);
-        self.inner.reachable_batch(probes, out)
-    }
-
-    fn successor_batch(&self, probes: &[(NodeId, ThreadId)], out: &mut Vec<Option<Pos>>) {
-        self.counters
-            .successors
-            .set(self.counters.successors.get() + probes.len() as u64);
-        self.inner.successor_batch(probes, out)
-    }
-
-    fn predecessor_batch(&self, probes: &[(NodeId, ThreadId)], out: &mut Vec<Option<Pos>>) {
-        self.counters
-            .predecessors
-            .set(self.counters.predecessors.get() + probes.len() as u64);
-        self.inner.predecessor_batch(probes, out)
-    }
-
-    fn supports_deletion(&self) -> bool {
-        self.inner.supports_deletion()
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.inner.memory_bytes()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -815,44 +637,6 @@ mod tests {
         assert!(po.reachable(NodeId::new(0, 0), NodeId::new(1, 1)));
         assert!(po.reachable(NodeId::new(1, 0), NodeId::new(0, 1)));
         assert!(!po.reachable(NodeId::new(0, 1), NodeId::new(1, 0)));
-    }
-
-    #[test]
-    fn counting_index_counts() {
-        let mut po: CountingIndex<Csst> = CountingIndex::with_capacity(3, 10);
-        po.insert_edge(NodeId::new(0, 0), NodeId::new(1, 1))
-            .unwrap();
-        po.insert_edge(NodeId::new(1, 2), NodeId::new(2, 3))
-            .unwrap();
-        po.delete_edge(NodeId::new(1, 2), NodeId::new(2, 3))
-            .unwrap();
-        po.reachable(NodeId::new(0, 0), NodeId::new(1, 5));
-        po.successor(NodeId::new(0, 0), ThreadId(1));
-        po.predecessor(NodeId::new(1, 5), ThreadId(0));
-        let c = po.counters();
-        assert_eq!(c.inserts.get(), 2);
-        assert_eq!(c.deletes.get(), 1);
-        assert_eq!(c.updates(), 3);
-        assert_eq!(c.queries(), 3);
-        assert_eq!(po.name(), "CSSTs");
-        assert!(po.supports_deletion());
-    }
-
-    #[test]
-    fn counting_index_counts_batches() {
-        let mut po: CountingIndex<Csst> = CountingIndex::with_capacity(2, 10);
-        po.insert_edge(NodeId::new(0, 0), NodeId::new(1, 1))
-            .unwrap();
-        let reach = [(NodeId::new(0, 0), NodeId::new(1, 5)); 3];
-        let node = [(NodeId::new(0, 0), ThreadId(1)); 4];
-        let (mut r, mut s, mut p) = (vec![], vec![], vec![]);
-        po.reachable_batch(&reach, &mut r);
-        po.successor_batch(&node, &mut s);
-        po.predecessor_batch(&node, &mut p);
-        assert_eq!(po.counters().reachables.get(), 3);
-        assert_eq!(po.counters().successors.get(), 4);
-        assert_eq!(po.counters().predecessors.get(), 4);
-        assert_eq!(po.counters().queries(), 11);
     }
 
     #[test]

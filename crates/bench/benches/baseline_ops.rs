@@ -1,11 +1,10 @@
-//! Per-operation costs of the baselines (VCs, anchored VCs, STs,
-//! Graphs) against incremental CSSTs — the microscopic view behind
-//! Figure 11 and the Table 7 Graphs comparison.
+//! Per-operation costs of the baselines (VCs, STs, Graphs) against
+//! incremental CSSTs — the microscopic view behind Figure 11 and the
+//! Table 7 Graphs comparison.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use csst_core::{
-    AnchoredVectorClockIndex, GraphIndex, IncrementalCsst, NodeId, PartialOrderIndex, SegTreeIndex,
-    VectorClockIndex,
+    GraphIndex, IncrementalCsst, NodeId, PartialOrderIndex, SegTreeIndex, VectorClockIndex,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -56,7 +55,6 @@ fn bench_insert(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("CSSTs", K), run::<IncrementalCsst>);
     group.bench_function(BenchmarkId::new("STs", K), run::<SegTreeIndex>);
     group.bench_function(BenchmarkId::new("VCs", K), run::<VectorClockIndex>);
-    group.bench_function(BenchmarkId::new("aVCs", K), run::<AnchoredVectorClockIndex>);
     group.bench_function(BenchmarkId::new("Graphs", K), run::<GraphIndex>);
     group.finish();
 }
@@ -75,7 +73,6 @@ fn bench_reachable(c: &mut Criterion) {
     group.bench_function(BenchmarkId::new("CSSTs", K), run::<IncrementalCsst>);
     group.bench_function(BenchmarkId::new("STs", K), run::<SegTreeIndex>);
     group.bench_function(BenchmarkId::new("VCs", K), run::<VectorClockIndex>);
-    group.bench_function(BenchmarkId::new("aVCs", K), run::<AnchoredVectorClockIndex>);
     group.bench_function(BenchmarkId::new("Graphs", K), run::<GraphIndex>);
     group.finish();
 }

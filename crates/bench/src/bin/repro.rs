@@ -4,7 +4,7 @@
 //! repro [--scale F] [--out DIR] [--smoke] [--json PATH] [--repeat N] <experiment>...
 //!
 //! experiments: table1 table2 table3 table4 table5 table6 table7
-//!              figure10 figure11 blocksize ablation all bench
+//!              figure10 figure11 blocksize all bench
 //! ```
 //!
 //! `--scale` multiplies workload sizes (default 1.0); `--out` writes a
@@ -66,7 +66,7 @@ fn parse_args() -> Result<Args, String> {
             "--help" | "-h" => {
                 println!(
                     "usage: repro [--scale F] [--out DIR] [--smoke] [--json PATH] [--repeat N] <experiment>...\n\
-                     experiments: table1..table7 figure10 figure11 blocksize ablation all bench\n\
+                     experiments: table1..table7 figure10 figure11 blocksize all bench\n\
                      bench: headless perf harness, writes measurements to --json PATH\n\
                             (default BENCH_PR7.json); --smoke shrinks it for CI;\n\
                             --repeat N keeps the best of N runs per cell"
@@ -178,22 +178,6 @@ fn main() {
         let points = scalability::figure11(&cfg);
         println!("{}", scalability::render(&points));
         write_out(&args.out, "figure11", &scalability::to_csv(&points));
-    }
-
-    if wants("ablation") {
-        eprintln!("# running ablation (VCs vs anchored VCs vs CSSTs)…");
-        let mut cfg = scalability::ScalCfg::default();
-        if scale < 1.0 {
-            cfg.ells = cfg
-                .ells
-                .iter()
-                .map(|&e| ((e as f64 * scale) as usize).max(100))
-                .collect();
-            cfg.queries = ((cfg.queries as f64 * scale) as usize).max(100);
-        }
-        let points = scalability::ablation(&cfg);
-        println!("{}", scalability::render(&points));
-        write_out(&args.out, "ablation", &scalability::to_csv(&points));
     }
 
     if wants("blocksize") {

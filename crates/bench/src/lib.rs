@@ -19,7 +19,7 @@
 //! Absolute numbers will differ from the paper (different machine,
 //! synthetic traces, scaled sizes); the *shape* — which structure wins,
 //! by roughly what factor, and where the crossovers fall — is the
-//! reproduction target. See EXPERIMENTS.md for the recorded comparison.
+//! reproduction target.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

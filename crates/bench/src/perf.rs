@@ -33,8 +33,7 @@
 
 use csst_analyses::hb;
 use csst_core::{
-    AnchoredVectorClockIndex, Csst, GraphIndex, IncrementalCsst, NodeId, PartialOrderIndex,
-    SegTreeIndex, VectorClockIndex,
+    Csst, GraphIndex, IncrementalCsst, NodeId, PartialOrderIndex, SegTreeIndex, VectorClockIndex,
 };
 use csst_serve::{ShardCfg, ShardedHb};
 use csst_trace::{gen, Trace};
@@ -622,7 +621,6 @@ pub fn run(cfg: &BenchCfg) -> Vec<Measurement> {
                 $runner::<IncrementalCsst>(cfg, "csst_incremental", "CSSTs (incremental)" $(, $extra)*),
                 $runner::<SegTreeIndex>(cfg, "segtree", "STs" $(, $extra)*),
                 $runner::<VectorClockIndex>(cfg, "vc", "VCs" $(, $extra)*),
-                $runner::<AnchoredVectorClockIndex>(cfg, "avc", "aVCs" $(, $extra)*),
                 $runner::<GraphIndex>(cfg, "graph", "Graphs" $(, $extra)*),
             ]
         };
@@ -792,8 +790,8 @@ mod tests {
             smoke: true,
         };
         let ms = run(&cfg);
-        // 18 workloads × 6 representations.
-        assert_eq!(ms.len(), 108);
+        // 18 workloads × 5 representations.
+        assert_eq!(ms.len(), 90);
         for m in &ms {
             if m.supported {
                 assert!(
@@ -804,11 +802,11 @@ mod tests {
                 );
             }
         }
-        // Deletion workloads are unsupported exactly for the four
+        // Deletion workloads are unsupported exactly for the three
         // insert-only representations, and the dense segment trees sit
         // out the three chain-count sweep points.
         let unsupported = ms.iter().filter(|m| !m.supported).count();
-        assert_eq!(unsupported, 2 * 4 + 3);
+        assert_eq!(unsupported, 2 * 3 + 3);
         for name in [
             "query_k4",
             "query_k16",

@@ -8,10 +8,7 @@
 //! reachability queries are issued. The paper inserts `20ℓ` edges and
 //! runs 10⁶ queries; this harness scales both.
 
-use csst_core::{
-    AnchoredVectorClockIndex, IncrementalCsst, NodeId, PartialOrderIndex, SegTreeIndex,
-    VectorClockIndex,
-};
+use csst_core::{IncrementalCsst, NodeId, PartialOrderIndex, SegTreeIndex, VectorClockIndex};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
@@ -109,7 +106,7 @@ fn run_structure<P: PartialOrderIndex>(k: usize, ell: usize, cfg: &ScalCfg) -> (
     (insert_s, query_s, inserted)
 }
 
-/// Runs a sweep over the named structures (`"VCs"`, `"aVCs"`, `"STs"`,
+/// Runs a sweep over the named structures (`"VCs"`, `"STs"`,
 /// `"CSSTs"`).
 pub fn sweep(cfg: &ScalCfg, structures: &[&str]) -> Vec<ScalPoint> {
     let mut points = Vec::new();
@@ -118,7 +115,6 @@ pub fn sweep(cfg: &ScalCfg, structures: &[&str]) -> Vec<ScalPoint> {
             for &structure in structures {
                 let (insert_s, query_s, inserted) = match structure {
                     "VCs" => run_structure::<VectorClockIndex>(k, ell, cfg),
-                    "aVCs" => run_structure::<AnchoredVectorClockIndex>(k, ell, cfg),
                     "STs" => run_structure::<SegTreeIndex>(k, ell, cfg),
                     "CSSTs" => run_structure::<IncrementalCsst>(k, ell, cfg),
                     other => panic!("unknown structure {other}"),
@@ -140,14 +136,6 @@ pub fn sweep(cfg: &ScalCfg, structures: &[&str]) -> Vec<ScalPoint> {
 /// Runs the Figure 11 sweep over CSSTs, STs and VCs.
 pub fn figure11(cfg: &ScalCfg) -> Vec<ScalPoint> {
     sweep(cfg, &["VCs", "STs", "CSSTs"])
-}
-
-/// The beyond-paper ablation: dense VCs vs anchored VCs vs CSSTs.
-/// Anchored VCs adopt the sparsity insight (clocks only at cross-edge
-/// endpoints) but not the suffix-minima structure; comparing all three
-/// shows how much of the CSST advantage each ingredient contributes.
-pub fn ablation(cfg: &ScalCfg) -> Vec<ScalPoint> {
-    sweep(cfg, &["VCs", "aVCs", "CSSTs"])
 }
 
 /// Renders the sweep as the four panels of Figure 11 (insert/query ×

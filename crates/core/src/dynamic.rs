@@ -34,11 +34,6 @@
 //!   soon as the target chain's bound is good enough, rather than
 //!   running the fixpoint to completion.
 //!
-//! While the domain has at most [`MAX_BITSET_CHAINS`] chains — every
-//! workload the paper evaluates — the worklist membership set is a
-//! single packed `u64` word ([`BitFrontier`]) instead of the stamped
-//! arrays.
-//!
 //! The batched query API ([`PartialOrderIndex::reachable_batch`] and
 //! friends) keeps the trait's per-probe defaults: every probe is one
 //! run of the engine above, memo and early exits included, so batched
@@ -50,17 +45,16 @@
 
 use crate::error::PoError;
 use crate::heap::EdgeHeapStore;
-use crate::index::{NodeId, Pos, ThreadId, INF, MAX_BITSET_CHAINS};
+use crate::index::{NodeId, Pos, ThreadId, INF};
 use crate::matrix::PairMatrix;
-use crate::reach::{BitFrontier, PartialOrderIndex};
+use crate::reach::PartialOrderIndex;
 use crate::sst::SparseSegmentTree;
 use crate::stats::DensityStats;
 use crate::suffix::SuffixMinima;
 use std::cell::RefCell;
 
-/// Default number of source-node closures the epoch-guarded query memo
-/// retains (see [`DynamicPo::set_query_memo_capacity`]).
-const DEFAULT_MEMO_CAPACITY: usize = 16;
+/// Number of source-node closures the epoch-guarded query memo retains.
+const MEMO_CAPACITY: usize = 16;
 
 /// Reusable buffers of the worklist query engine. One instance lives in
 /// each index behind a `RefCell`, so steady-state queries allocate
@@ -73,20 +67,12 @@ struct QueryScratch {
     /// when the matching `val_stamp` entry equals `cur`.
     vals: Vec<Pos>,
     val_stamp: Vec<u32>,
-    /// Worklist membership stamps (`== cur` while queued); used only
-    /// in wide mode.
+    /// Worklist membership stamps (`== cur` while queued).
     on_list: Vec<u32>,
     /// Stamp of the query in flight; `0` is never a live stamp.
     cur: u32,
+    /// The queued chains, in no particular order.
     list: Vec<u32>,
-    /// Packed worklist membership for domains of at most
-    /// [`MAX_BITSET_CHAINS`] chains: one bit per chain in a single
-    /// word, so push/clear are bit ops and the pop scan walks only set
-    /// bits.
-    word: BitFrontier,
-    /// `k > MAX_BITSET_CHAINS`: fall back to the stamped
-    /// `on_list`/`list` worklist.
-    wide: bool,
 }
 
 impl QueryScratch {
@@ -107,8 +93,6 @@ impl QueryScratch {
             self.cur = 1;
         }
         self.list.clear();
-        self.word.clear();
-        self.wide = k > MAX_BITSET_CHAINS;
     }
 
     #[inline]
@@ -124,61 +108,25 @@ impl QueryScratch {
 
     #[inline]
     fn push(&mut self, t: usize) {
-        if !self.wide {
-            self.word.insert(t); // idempotent: no membership check needed
-        } else if self.on_list[t] != self.cur {
+        if self.on_list[t] != self.cur {
             self.on_list[t] = self.cur;
             self.list.push(t as u32);
         }
     }
 
-    /// Pops the queued chain with the **smallest** bound (linear scan:
-    /// the active set is at most `k` chains, and each scan step is two
-    /// array reads — noise next to one suffix-minima query). In bitset
-    /// mode the scan visits only set bits of the packed word.
+    /// Pops the queued chain whose bound comes first under `before`:
+    /// the smallest bound forward (`<`), the largest backward (`>`).
+    /// A linear scan: the active set is at most `k` chains, and each
+    /// scan step is two array reads — noise next to one suffix-minima
+    /// query.
     #[inline]
-    fn pop_min(&mut self) -> Option<usize> {
-        if !self.wide {
-            let mut best: Option<usize> = None;
-            for t in self.word.iter() {
-                if best.is_none_or(|b| self.vals[t] < self.vals[b]) {
-                    best = Some(t);
-                }
-            }
-            let t = best?;
-            self.word.remove(t);
-            return Some(t);
-        }
+    fn pop_best(&mut self, before: impl Fn(Pos, Pos) -> bool) -> Option<usize> {
         let mut best = 0;
         for i in 1..self.list.len() {
-            if self.vals[self.list[i] as usize] < self.vals[self.list[best] as usize] {
-                best = i;
-            }
-        }
-        let t = (*self.list.get(best)?) as usize;
-        self.list.swap_remove(best);
-        self.on_list[t] = 0;
-        Some(t)
-    }
-
-    /// Pops the queued chain with the **largest** bound (the backward
-    /// dual of [`pop_min`](Self::pop_min)).
-    #[inline]
-    fn pop_max(&mut self) -> Option<usize> {
-        if !self.wide {
-            let mut best: Option<usize> = None;
-            for t in self.word.iter() {
-                if best.is_none_or(|b| self.vals[t] > self.vals[b]) {
-                    best = Some(t);
-                }
-            }
-            let t = best?;
-            self.word.remove(t);
-            return Some(t);
-        }
-        let mut best = 0;
-        for i in 1..self.list.len() {
-            if self.vals[self.list[i] as usize] > self.vals[self.list[best] as usize] {
+            if before(
+                self.vals[self.list[i] as usize],
+                self.vals[self.list[best] as usize],
+            ) {
                 best = i;
             }
         }
@@ -215,26 +163,18 @@ struct MemoEntry {
     vals: Vec<Pos>,
 }
 
-/// Epoch-guarded closure cache: a tiny direct-scan store with
-/// round-robin replacement. Chains beyond `vals.len()` read as
-/// unconnected, so pure domain growth (which never changes answers)
-/// does not invalidate entries — only edge updates roll the epoch.
-#[derive(Debug, Clone)]
+/// Epoch-guarded closure cache: a tiny direct-scan store of at most
+/// [`MEMO_CAPACITY`] entries with round-robin replacement. Chains
+/// beyond `vals.len()` read as unconnected, so pure domain growth
+/// (which never changes answers) does not invalidate entries — only
+/// edge updates roll the epoch.
+#[derive(Debug, Clone, Default)]
 struct QueryMemo {
     entries: Vec<MemoEntry>,
-    cap: usize,
     next: usize,
 }
 
 impl QueryMemo {
-    fn new(cap: usize) -> Self {
-        QueryMemo {
-            entries: Vec::new(),
-            cap,
-            next: 0,
-        }
-    }
-
     /// The cached bound of chain `t2` for source `⟨t1, j1⟩`, if a
     /// closure of the right direction and epoch is cached.
     fn lookup(&self, epoch: u64, dir: Dir, t1: usize, j1: Pos, t2: usize) -> Option<Pos> {
@@ -247,14 +187,11 @@ impl QueryMemo {
     /// Caches the complete closure held in `scratch` (unvisited chains
     /// are stored as [`INF`]), reusing a replaced entry's allocation.
     fn store(&mut self, epoch: u64, dir: Dir, t1: usize, j1: Pos, k: usize, s: &QueryScratch) {
-        if self.cap == 0 {
-            return;
-        }
         let fill = |vals: &mut Vec<Pos>| {
             vals.clear();
             vals.extend((0..k).map(|t| s.get(t).unwrap_or(INF)));
         };
-        if self.entries.len() < self.cap {
+        if self.entries.len() < MEMO_CAPACITY {
             let mut vals = Vec::new();
             fill(&mut vals);
             self.entries.push(MemoEntry {
@@ -271,7 +208,7 @@ impl QueryMemo {
             e.t1 = t1 as u32;
             e.j1 = j1;
             fill(&mut e.vals);
-            self.next = (self.next + 1) % self.cap;
+            self.next = (self.next + 1) % MEMO_CAPACITY;
         }
     }
 
@@ -326,30 +263,9 @@ impl<S: SuffixMinima> DynamicPo<S> {
         self.edges
     }
 
-    /// The current update epoch: bumped by every successful edge
-    /// insert/delete. Cached query closures are valid exactly while the
-    /// epoch stands still, so shard replicas exposing this number let a
-    /// coordinator cheaply detect whether two replicas of the same edge
-    /// stream have applied the same prefix of updates.
-    pub fn update_epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// Per-array density statistics (the `q` column of the tables).
     pub fn density_stats(&self) -> DensityStats {
         self.arrays.density_stats()
-    }
-
-    /// Sets the capacity (number of cached source-node closures) of the
-    /// epoch-guarded query memo; `0` disables memoization entirely.
-    ///
-    /// The memo is transparent — answers are identical with any
-    /// capacity (the property tests pin this) — so the knob exists for
-    /// benchmarking and for workloads known to never repeat a source
-    /// node between updates. Changing the capacity drops all cached
-    /// closures.
-    pub fn set_query_memo_capacity(&mut self, cap: usize) {
-        *self.memo.borrow_mut() = QueryMemo::new(cap);
     }
 
     /// The forward crossing-path fixpoint of Algorithm 2, as a sparse
@@ -400,7 +316,7 @@ impl<S: SuffixMinima> DynamicPo<S> {
             }
         }
         let dijkstra = self.backward_edges == 0;
-        while let Some(t) = s.pop_min() {
+        while let Some(t) = s.pop_best(|a, b| a < b) {
             let base = s.vals[t];
             if dijkstra {
                 if exact && t == t2 {
@@ -465,7 +381,7 @@ impl<S: SuffixMinima> DynamicPo<S> {
             }
         }
         let dijkstra = self.backward_edges == 0;
-        while let Some(t) = s.pop_max() {
+        while let Some(t) = s.pop_best(|a, b| a > b) {
             let base = s.vals[t];
             if dijkstra && t == t2 {
                 return Some(base); // popped bounds are final
@@ -574,8 +490,8 @@ impl<S: SuffixMinima> PartialOrderIndex for DynamicPo<S> {
             edges: 0,
             epoch: 0,
             backward_edges: 0,
-            scratch: RefCell::new(QueryScratch::default()),
-            memo: RefCell::new(QueryMemo::new(DEFAULT_MEMO_CAPACITY)),
+            scratch: RefCell::default(),
+            memo: RefCell::default(),
         }
     }
 
@@ -589,8 +505,8 @@ impl<S: SuffixMinima> PartialOrderIndex for DynamicPo<S> {
             edges: 0,
             epoch: 0,
             backward_edges: 0,
-            scratch: RefCell::new(QueryScratch::default()),
-            memo: RefCell::new(QueryMemo::new(DEFAULT_MEMO_CAPACITY)),
+            scratch: RefCell::default(),
+            memo: RefCell::default(),
         }
     }
 
@@ -627,35 +543,6 @@ impl<S: SuffixMinima> PartialOrderIndex for DynamicPo<S> {
         }
         self.edges += 1;
         self.epoch += 1;
-    }
-
-    fn insert_edges_raw(&mut self, edges: &[(NodeId, NodeId)]) {
-        // Visit the batch grouped by chain pair (stable sort, so the
-        // per-pair insertion order — and therefore every heap and
-        // array state — matches the sequential path exactly): one warm
-        // pair/array working set per group.
-        let kslots = self.arrays.kslots();
-        let mut order: Vec<u32> = (0..edges.len() as u32).collect();
-        order.sort_by_key(|&i| {
-            let (from, to) = edges[i as usize];
-            from.thread.index() * kslots + to.thread.index()
-        });
-        for &i in &order {
-            let (from, to) = edges[i as usize];
-            let (ft, tt) = (from.thread.index(), to.thread.index());
-            if self.heaps.insert(ft, tt, from.pos, to.pos) {
-                self.arrays
-                    .get_mut(ft, tt)
-                    .update(from.pos as usize, to.pos);
-            }
-            if to.pos < from.pos {
-                self.backward_edges += 1;
-            }
-            self.edges += 1;
-        }
-        if !edges.is_empty() {
-            self.epoch += 1;
-        }
     }
 
     fn delete_edge_raw(&mut self, from: NodeId, to: NodeId) -> Result<(), PoError> {
@@ -1038,13 +925,11 @@ mod tests {
 
     #[test]
     fn batched_matches_sequential_beyond_bitset_width() {
-        use crate::index::MAX_BITSET_CHAINS;
-        // More chains than fit a bitset word: the worklist runs in
-        // wide (stamped-list) mode and must answer identically.
-        let k = MAX_BITSET_CHAINS as u32 + 6;
+        // A wide domain (70 chains) joined by one long crossing chain:
+        // batched answers must equal per-probe ones.
+        let k = 70u32;
         let mut po = Csst::new();
         po.ensure_chain(ThreadId(k - 1));
-        assert!(po.chains() > MAX_BITSET_CHAINS);
         let edges: Vec<_> = (0..k - 1).map(|t| (n(t, t + 1), n(t + 1, t + 2))).collect();
         po.insert_edges(&edges).unwrap();
         let succ_probes: Vec<_> = (0..k)
@@ -1111,10 +996,9 @@ mod tests {
     }
 
     #[test]
-    fn disabling_the_memo_changes_no_answers() {
-        let mut with = Csst::with_capacity(4, 30);
-        let mut without = Csst::with_capacity(4, 30);
-        without.set_query_memo_capacity(0);
+    fn repeated_queries_equal_the_dense_fixpoint() {
+        // Backward edges keep the engine in chaotic-iteration mode.
+        let mut po = Csst::with_capacity(4, 30);
         let edges = [
             (n(0, 2), n(1, 4)),
             (n(1, 6), n(2, 3)),
@@ -1122,18 +1006,18 @@ mod tests {
             (n(3, 1), n(0, 8)),
         ];
         for (u, v) in edges {
-            with.insert_edge(u, v).unwrap();
-            without.insert_edge(u, v).unwrap();
+            po.insert_edge(u, v).unwrap();
         }
-        for t1 in 0..4u32 {
+        for t1 in 0..4usize {
             for j1 in 0..30u32 {
-                let u = n(t1, j1);
-                for t2 in 0..4u32 {
-                    let c = ThreadId(t2);
-                    // Repeat so the memoized index actually hits.
+                for t2 in (0..4usize).filter(|&t2| t2 != t1) {
+                    let ds = po.dense_successor_raw(t1, j1, t2);
+                    let dp = po.dense_predecessor_raw(t1, j1, t2);
+                    // Complete runs are memoized, so the second call
+                    // is answered from the cache.
                     for _ in 0..2 {
-                        assert_eq!(with.successor(u, c), without.successor(u, c));
-                        assert_eq!(with.predecessor(u, c), without.predecessor(u, c));
+                        assert_eq!(po.successor_raw(t1, j1, t2), ds);
+                        assert_eq!(po.predecessor_raw(t1, j1, t2), dp);
                     }
                 }
             }
@@ -1164,16 +1048,15 @@ mod worklist_engine {
         prop::collection::vec(op, 1..40)
     }
 
-    /// Runs one script on a memoized and a memo-free index, checking
-    /// both against the dense fixpoint after every update. With
+    /// Runs one script, checking the engine against the dense fixpoint
+    /// after every update. Each query is asked twice, so the repeat
+    /// comes from the memo wherever the first run completed. With
     /// `forward_only`, targets are rewritten to `to.pos ≥ from.pos`, so
     /// the index never holds a backward edge and the Dijkstra mode
     /// (single-pop finalization + bounded early exit) is what answers;
     /// otherwise backward edges force the chaotic-iteration fallback.
     fn run_script(ops: &[Op], cap: u32, forward_only: bool) -> Result<(), TestCaseError> {
-        let mut memoized = Csst::new();
-        let mut bare = Csst::new();
-        bare.set_query_memo_capacity(0);
+        let mut po = Csst::new();
         let mut planner = NaiveIndex::new();
         let mut live: Vec<(NodeId, NodeId)> = Vec::new();
         for &op in ops {
@@ -1188,8 +1071,7 @@ mod worklist_engine {
                         continue; // keep the relation acyclic
                     }
                     planner.insert_edge(u, v).unwrap();
-                    memoized.insert_edge(u, v).unwrap();
-                    bare.insert_edge(u, v).unwrap();
+                    po.insert_edge(u, v).unwrap();
                     live.push((u, v));
                 }
                 Op::Delete(i) => {
@@ -1198,14 +1080,13 @@ mod worklist_engine {
                     }
                     let (u, v) = live.swap_remove(i % live.len());
                     planner.delete_edge(u, v).unwrap();
-                    memoized.delete_edge(u, v).unwrap();
-                    bare.delete_edge(u, v).unwrap();
+                    po.delete_edge(u, v).unwrap();
                 }
             }
             // Query in between every update, twice per node so the
             // memo path (second call hits the cache) is exercised
             // at every epoch.
-            let kk = memoized.chains();
+            let kk = po.chains();
             let mut node_probes = Vec::new();
             let mut reach_probes = Vec::new();
             for t1 in 0..kk {
@@ -1214,9 +1095,9 @@ mod worklist_engine {
                         if t1 == t2 {
                             continue;
                         }
-                        let ds = memoized.dense_successor_raw(t1, j1, t2);
-                        let dp = memoized.dense_predecessor_raw(t1, j1, t2);
-                        for po in [&memoized, &bare] {
+                        let ds = po.dense_successor_raw(t1, j1, t2);
+                        let dp = po.dense_predecessor_raw(t1, j1, t2);
+                        for _ in 0..2 {
                             prop_assert_eq!(po.successor_raw(t1, j1, t2), ds);
                             prop_assert_eq!(po.predecessor_raw(t1, j1, t2), dp);
                         }
@@ -1227,8 +1108,7 @@ mod worklist_engine {
                         for j2 in (0..cap).step_by(4) {
                             let v = NodeId::new(t2 as u32, j2);
                             let expect = ds != INF && ds <= j2;
-                            prop_assert_eq!(memoized.reachable(u, v), expect);
-                            prop_assert_eq!(bare.reachable(u, v), expect);
+                            prop_assert_eq!(po.reachable(u, v), expect);
                             reach_probes.push((u, v));
                         }
                     }
@@ -1236,25 +1116,23 @@ mod worklist_engine {
             }
             // The whole probe grid again through the batched API, at
             // this same (freshly rolled) epoch: batched answers must
-            // agree with the per-probe engine, memo on or off.
+            // agree with the per-probe engine.
             let (mut bs, mut bp, mut br) = (Vec::new(), Vec::new(), Vec::new());
-            for po in [&memoized, &bare] {
-                po.successor_batch(&node_probes, &mut bs);
-                po.predecessor_batch(&node_probes, &mut bp);
-                po.reachable_batch(&reach_probes, &mut br);
-                prop_assert_eq!(bs.len(), node_probes.len());
-                for (i, &(u, c)) in node_probes.iter().enumerate() {
-                    prop_assert_eq!(bs[i], po.successor(u, c));
-                    prop_assert_eq!(bp[i], po.predecessor(u, c));
-                }
-                for (i, &(u, v)) in reach_probes.iter().enumerate() {
-                    prop_assert_eq!(br[i], po.reachable(u, v));
-                }
+            po.successor_batch(&node_probes, &mut bs);
+            po.predecessor_batch(&node_probes, &mut bp);
+            po.reachable_batch(&reach_probes, &mut br);
+            prop_assert_eq!(bs.len(), node_probes.len());
+            for (i, &(u, c)) in node_probes.iter().enumerate() {
+                prop_assert_eq!(bs[i], po.successor(u, c));
+                prop_assert_eq!(bp[i], po.predecessor(u, c));
+            }
+            for (i, &(u, v)) in reach_probes.iter().enumerate() {
+                prop_assert_eq!(br[i], po.reachable(u, v));
             }
         }
         if forward_only {
             prop_assert_eq!(
-                memoized.backward_edges,
+                po.backward_edges,
                 0,
                 "forward-only script grew a backward edge"
             );

@@ -29,12 +29,6 @@ pub const MAX_POS: Pos = (1 << 31) - 1;
 /// witnessed domain grows on demand.
 pub const MAX_CHAINS: usize = 1 << 16;
 
-/// Largest chain count whose closure frontiers fit in one `u64` bitset
-/// word. The query engines use the packed-word frontier up to this many
-/// chains (every workload the paper evaluates has k ≤ 64) and fall back
-/// to the stamped scratch arrays above it.
-pub const MAX_BITSET_CHAINS: usize = 64;
-
 /// Identifier of a chain of the DAG.
 ///
 /// In most analyses a chain is a thread; in weak-memory settings a
@@ -182,8 +176,6 @@ mod tests {
     fn addressable_limits() {
         const { assert!(MAX_POS < INF) };
         const { assert!(MAX_CHAINS <= u32::MAX as usize) };
-        const { assert!(MAX_BITSET_CHAINS <= u64::BITS as usize) };
-        const { assert!(MAX_BITSET_CHAINS <= MAX_CHAINS) };
     }
 
     #[test]

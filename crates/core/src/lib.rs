@@ -107,4 +107,4 @@ pub use segtree::SegmentTree;
 pub use sst::SparseSegmentTree;
 pub use stats::DensityStats;
 pub use suffix::{NaiveSuffixArray, SuffixMinima};
-pub use vc::{AnchoredVectorClockIndex, VectorClockIndex};
+pub use vc::VectorClockIndex;

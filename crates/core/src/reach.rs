@@ -34,7 +34,7 @@
 //! [`insert_edge_checked`]: PartialOrderIndex::insert_edge_checked
 
 use crate::error::PoError;
-use crate::index::{NodeId, Pos, ThreadId, MAX_BITSET_CHAINS, MAX_CHAINS, MAX_POS};
+use crate::index::{NodeId, Pos, ThreadId, MAX_CHAINS, MAX_POS};
 
 /// A dynamic-reachability index over a growable chain DAG.
 ///
@@ -274,10 +274,8 @@ pub trait PartialOrderIndex: Send {
     ///
     /// Called by the provided [`insert_edges`](Self::insert_edges)
     /// after validation and domain growth. The default delegates to
-    /// [`insert_edge_raw`](Self::insert_edge_raw) per edge;
-    /// structures with a profitable batch layout (the fully dynamic
-    /// CSSTs group edges by chain pair) override it, and must remain
-    /// observationally identical to the sequential default.
+    /// [`insert_edge_raw`](Self::insert_edge_raw) per edge; an
+    /// override must remain observationally identical to it.
     fn insert_edges_raw(&mut self, edges: &[(NodeId, NodeId)]) {
         for &(from, to) in edges {
             self.insert_edge_raw(from, to);
@@ -329,8 +327,7 @@ pub trait PartialOrderIndex: Send {
     ///   sources between updates by the epoch memo;
     /// * incremental CSSTs / STs: one suffix-minima query,
     ///   `O(min(log n, d))` resp. `O(log n)`;
-    /// * VCs / aVCs: `O(log n)` binary search over materialized
-    ///   clock rows resp. anchors;
+    /// * VCs: `O(log n)` binary search over materialized clock rows;
     /// * Graphs: `O(m + k)` chain-aware traversal.
     ///
     /// All implementations answer without allocating in steady state.
@@ -492,61 +489,6 @@ pub trait PartialOrderIndex: Send {
     }
 }
 
-/// A closure frontier over at most [`MAX_BITSET_CHAINS`] chains packed
-/// into one `u64` word: bit `t` set ⇔ chain `t` is queued for
-/// relaxation.
-///
-/// The query engines keep their worklist in this word whenever
-/// `k ≤ 64` (every workload the paper evaluates) — membership updates
-/// are single bit operations and draining iterates set bits via
-/// `trailing_zeros`, with no per-chain stamp arrays to touch. Larger
-/// domains fall back to the stamped scratch lists.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct BitFrontier(u64);
-
-impl BitFrontier {
-    /// Empties the frontier.
-    #[inline]
-    pub(crate) fn clear(&mut self) {
-        self.0 = 0;
-    }
-
-    /// Queues chain `t` (idempotent).
-    #[inline]
-    pub(crate) fn insert(&mut self, t: usize) {
-        debug_assert!(t < MAX_BITSET_CHAINS);
-        self.0 |= 1u64 << t;
-    }
-
-    /// Unqueues chain `t` (idempotent).
-    #[inline]
-    pub(crate) fn remove(&mut self, t: usize) {
-        debug_assert!(t < MAX_BITSET_CHAINS);
-        self.0 &= !(1u64 << t);
-    }
-
-    /// `true` when no chain is queued.
-    #[inline]
-    #[cfg(test)]
-    pub(crate) fn is_empty(self) -> bool {
-        self.0 == 0
-    }
-
-    /// Iterates the queued chains in ascending order.
-    #[inline]
-    pub(crate) fn iter(self) -> impl Iterator<Item = usize> {
-        let mut word = self.0;
-        std::iter::from_fn(move || {
-            if word == 0 {
-                return None;
-            }
-            let t = word.trailing_zeros() as usize;
-            word &= word - 1;
-            Some(t)
-        })
-    }
-}
-
 /// Witnessed-domain bookkeeping shared by the index implementations:
 /// the set of known chains and the number of events seen per chain.
 ///
@@ -681,26 +623,5 @@ mod tests {
         for t in 0..4u32 {
             assert_eq!(d.chain_len(ThreadId(t)), 0);
         }
-    }
-
-    #[test]
-    fn bit_frontier_set_semantics() {
-        let mut f = BitFrontier::default();
-        assert!(f.is_empty());
-        f.insert(0);
-        f.insert(63);
-        f.insert(17);
-        f.insert(17); // idempotent
-        assert_eq!(f.iter().collect::<Vec<_>>(), vec![0, 17, 63]);
-        f.remove(17);
-        f.remove(5); // absent: no-op
-        assert_eq!(f.iter().collect::<Vec<_>>(), vec![0, 63]);
-        f.remove(0);
-        f.remove(63);
-        assert!(f.is_empty());
-        f.insert(3);
-        f.clear();
-        assert!(f.is_empty());
-        assert_eq!(f.iter().count(), 0);
     }
 }

@@ -1,5 +1,4 @@
-//! The Vector Clocks baseline ("VCs" in the paper's tables) and an
-//! anchored variant.
+//! The Vector Clocks baseline ("VCs" in the paper's tables).
 //!
 //! Vector clocks summarize, per event, the whole backward set of the
 //! event as a `k`-entry integer array \[Mattern 1989\]. Reachability
@@ -21,27 +20,20 @@
 //! event*, which is the linear cost visible throughout the paper's
 //! tables.
 //!
-//! Both variants are capacity-free: clocks are allocated at a strided
+//! The index is capacity-free: clocks are allocated at a strided
 //! width that doubles as chains are witnessed, so adding a chain
 //! re-lays out existing clocks only `O(log k)` times overall.
 //!
-//! [`AnchoredVectorClockIndex`] goes beyond the paper: clocks live only
-//! at *anchors* (endpoints of cross-chain edges) and propagation jumps
-//! from anchor to anchor. This makes updates behave like `O(d·k)`
-//! instead of `O(n·k)` and is included as an ablation point (see
-//! EXPERIMENTS.md); it shows how much of the CSST advantage comes from
-//! sparsity alone.
-//!
-//! Neither variant supports deletion: a clock merges its inputs
+//! It does not support deletion: a clock merges its inputs
 //! irreversibly, which is precisely why fully dynamic analyses cannot
 //! use VCs (§1.1).
 //!
-//! Query paths in both variants are **allocation-free** by
-//! construction (audited alongside the worklist query engine of
-//! [`DynamicPo`](crate::DynamicPo)): `reachable`/`predecessor` read one clock entry
-//! and `successor` binary-searches the materialized rows (dense) or
-//! anchors (anchored) in place. Only *updates* build owned clocks
-//! (`full_clock`), which is inherent to clock propagation.
+//! Query paths are **allocation-free** by construction (audited
+//! alongside the worklist query engine of
+//! [`DynamicPo`](crate::DynamicPo)): `reachable`/`predecessor` read one
+//! clock entry and `successor` binary-searches the materialized rows in
+//! place. Only *updates* build owned clocks (`full_clock`), which is
+//! inherent to clock propagation.
 
 use crate::error::PoError;
 use crate::index::{NodeId, Pos, ThreadId};
@@ -49,10 +41,6 @@ use crate::reach::{Domain, PartialOrderIndex};
 use std::collections::{BTreeMap, VecDeque};
 
 type Clock = Box<[Pos]>;
-
-// ---------------------------------------------------------------------------
-// Dense, paper-faithful vector clocks.
-// ---------------------------------------------------------------------------
 
 /// Vector-clock representation of a chain-DAG partial order (the
 /// paper's "VCs" baseline).
@@ -365,268 +353,6 @@ impl PartialOrderIndex for VectorClockIndex {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Anchored vector clocks (beyond-paper ablation).
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone)]
-struct Anchor {
-    idx: Pos,
-    clock: Clock,
-    out: Vec<NodeId>,
-}
-
-/// Anchored vector clocks: clocks live only at cross-edge endpoints and
-/// propagation jumps anchor-to-anchor, making updates `O(d·k)`-ish
-/// instead of `O(n·k)`.
-///
-/// Not part of the paper — an ablation showing how far a
-/// sparsity-aware VC can close the gap to CSSTs (it still cannot
-/// delete edges and its queries lack `argleq`-style predecessor
-/// search inside chains).
-#[derive(Debug, Clone)]
-pub struct AnchoredVectorClockIndex {
-    dom: Domain,
-    /// Allocated clock width (`≥ chains()`), doubled on growth.
-    stride: usize,
-    chains: Vec<Vec<Anchor>>,
-    edges: usize,
-    join_work: u64,
-}
-
-impl AnchoredVectorClockIndex {
-    #[inline]
-    fn k(&self) -> usize {
-        self.dom.chains()
-    }
-
-    fn anchor_at(&self, t: usize, idx: Pos) -> Result<usize, usize> {
-        self.chains[t].binary_search_by_key(&idx, |a| a.idx)
-    }
-
-    fn clock_entry(&self, t: usize, j: Pos, dim: usize) -> Pos {
-        let base = match self.anchor_at(t, j) {
-            Ok(i) => Some(&self.chains[t][i]),
-            Err(0) => None,
-            Err(i) => Some(&self.chains[t][i - 1]),
-        };
-        let inherited = base.map_or(0, |a| a.clock[dim]);
-        if dim == t {
-            inherited.max(j + 1)
-        } else {
-            inherited
-        }
-    }
-
-    fn full_clock(&self, t: usize, j: Pos) -> Clock {
-        let mut clock: Clock = match self.anchor_at(t, j) {
-            Ok(i) => self.chains[t][i].clock.clone(),
-            Err(0) => vec![0; self.stride].into_boxed_slice(),
-            Err(i) => self.chains[t][i - 1].clock.clone(),
-        };
-        clock[t] = clock[t].max(j + 1);
-        clock
-    }
-
-    fn ensure_anchor(&mut self, t: usize, j: Pos) -> usize {
-        match self.anchor_at(t, j) {
-            Ok(i) => i,
-            Err(i) => {
-                let clock = self.full_clock(t, j);
-                self.chains[t].insert(
-                    i,
-                    Anchor {
-                        idx: j,
-                        clock,
-                        out: Vec::new(),
-                    },
-                );
-                i
-            }
-        }
-    }
-
-    fn join(dst: &mut Clock, src: &[Pos], work: &mut u64) -> bool {
-        let mut changed = false;
-        for (d, &v) in dst.iter_mut().zip(src) {
-            *work += 1;
-            if v > *d {
-                *d = v;
-                changed = true;
-            }
-        }
-        changed
-    }
-
-    fn propagate(&mut self, st: usize, sj: Pos, dt: usize, dj: Pos) {
-        let mut queue: VecDeque<(usize, Pos, usize, Pos)> = VecDeque::new();
-        queue.push_back((st, sj, dt, dj));
-        while let Some((st, sj, dt, dj)) = queue.pop_front() {
-            let src_clock = {
-                let i = self.anchor_at(st, sj).expect("source anchored");
-                self.chains[st][i].clock.clone()
-            };
-            let mut ai = self.anchor_at(dt, dj).expect("target anchored");
-            loop {
-                let mut work = 0u64;
-                let anchor = &mut self.chains[dt][ai];
-                let changed = Self::join(&mut anchor.clock, &src_clock, &mut work);
-                self.join_work += work;
-                if !changed {
-                    break;
-                }
-                for target in self.chains[dt][ai].out.clone() {
-                    queue.push_back((
-                        dt,
-                        self.chains[dt][ai].idx,
-                        target.thread.index(),
-                        target.pos,
-                    ));
-                }
-                ai += 1;
-                if ai >= self.chains[dt].len() {
-                    break;
-                }
-            }
-        }
-    }
-
-    /// Widens every anchor clock to `new_stride` entries.
-    fn grow_stride(&mut self, new_stride: usize) {
-        for chain in &mut self.chains {
-            for anchor in chain.iter_mut() {
-                let mut widened = vec![0; new_stride];
-                widened[..anchor.clock.len()].copy_from_slice(&anchor.clock);
-                anchor.clock = widened.into_boxed_slice();
-            }
-        }
-        self.stride = new_stride;
-    }
-
-    /// Total per-entry clock joins (propagation work).
-    pub fn join_work(&self) -> u64 {
-        self.join_work
-    }
-
-    /// Number of materialized anchors.
-    pub fn anchor_count(&self) -> usize {
-        self.chains.iter().map(Vec::len).sum()
-    }
-}
-
-impl PartialOrderIndex for AnchoredVectorClockIndex {
-    fn new() -> Self {
-        AnchoredVectorClockIndex {
-            dom: Domain::new(),
-            stride: 0,
-            chains: Vec::new(),
-            edges: 0,
-            join_work: 0,
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        "aVCs"
-    }
-
-    fn chains(&self) -> usize {
-        self.dom.chains()
-    }
-
-    fn chain_len(&self, chain: ThreadId) -> usize {
-        self.dom.chain_len(chain)
-    }
-
-    fn ensure_chain(&mut self, chain: ThreadId) {
-        if !self.dom.ensure_chain(chain) {
-            return;
-        }
-        let k = self.dom.chains();
-        if k > self.stride {
-            self.grow_stride(k.next_power_of_two());
-        }
-        self.chains.resize_with(k, Vec::new);
-    }
-
-    fn ensure_len(&mut self, chain: ThreadId, len: usize) {
-        self.ensure_chain(chain);
-        self.dom.ensure_len(chain, len);
-    }
-
-    fn insert_edge_raw(&mut self, from: NodeId, to: NodeId) {
-        let (t1, j1) = (from.thread.index(), from.pos);
-        let (t2, j2) = (to.thread.index(), to.pos);
-        self.ensure_anchor(t1, j1);
-        self.ensure_anchor(t2, j2);
-        let i = self.anchor_at(t1, j1).expect("just anchored");
-        self.chains[t1][i].out.push(to);
-        self.propagate(t1, j1, t2, j2);
-        self.edges += 1;
-    }
-
-    fn delete_edge_raw(&mut self, _from: NodeId, _to: NodeId) -> Result<(), PoError> {
-        Err(PoError::DeletionUnsupported {
-            structure: "anchored vector clocks",
-        })
-    }
-
-    fn reachable(&self, from: NodeId, to: NodeId) -> bool {
-        if from.thread == to.thread {
-            return from.pos <= to.pos;
-        }
-        if from.thread.index() >= self.k() || to.thread.index() >= self.k() {
-            return false;
-        }
-        self.clock_entry(to.thread.index(), to.pos, from.thread.index()) > from.pos
-    }
-
-    fn successor(&self, from: NodeId, chain: ThreadId) -> Option<Pos> {
-        let t1 = from.thread.index();
-        let t2 = chain.index();
-        if t1 == t2 {
-            return Some(from.pos);
-        }
-        if t1 >= self.k() || t2 >= self.k() {
-            return None;
-        }
-        let anchors = &self.chains[t2];
-        let i = anchors.partition_point(|a| a.clock[t1] <= from.pos);
-        anchors.get(i).map(|a| a.idx)
-    }
-
-    fn predecessor(&self, from: NodeId, chain: ThreadId) -> Option<Pos> {
-        let t1 = from.thread.index();
-        let t2 = chain.index();
-        if t1 == t2 {
-            return Some(from.pos);
-        }
-        if t1 >= self.k() || t2 >= self.k() {
-            return None;
-        }
-        match self.clock_entry(t1, from.pos, t2) {
-            0 => None,
-            c => Some(c - 1),
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        let anchors: usize = self
-            .chains
-            .iter()
-            .map(|c| {
-                c.iter()
-                    .map(|a| {
-                        std::mem::size_of::<Anchor>()
-                            + a.clock.len() * std::mem::size_of::<Pos>()
-                            + a.out.capacity() * std::mem::size_of::<NodeId>()
-                    })
-                    .sum::<usize>()
-            })
-            .sum();
-        std::mem::size_of::<Self>() + self.dom.memory_bytes() + anchors
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -635,7 +361,6 @@ mod tests {
         NodeId::new(t, i)
     }
 
-    /// Shared behavioural tests for both VC variants.
     fn basic_suite<P: PartialOrderIndex>() {
         let po = P::with_capacity(2, 10);
         assert!(po.reachable(n(0, 0), n(0, 5)));
@@ -685,14 +410,8 @@ mod tests {
     }
 
     #[test]
-    fn anchored_vc_suite() {
-        basic_suite::<AnchoredVectorClockIndex>();
-    }
-
-    #[test]
     fn names() {
         assert_eq!(VectorClockIndex::new().name(), "VCs");
-        assert_eq!(AnchoredVectorClockIndex::new().name(), "aVCs");
     }
 
     /// Insert edges on 2 chains, then pull in chain 5: old clocks
@@ -716,7 +435,6 @@ mod tests {
     #[test]
     fn chain_growth_widens_existing_clocks() {
         growth_suite::<VectorClockIndex>();
-        growth_suite::<AnchoredVectorClockIndex>();
     }
 
     #[test]
@@ -730,47 +448,22 @@ mod tests {
     }
 
     #[test]
-    fn anchored_vc_stays_sparse() {
-        let mut po = AnchoredVectorClockIndex::new();
-        po.insert_edge(n(0, 10), n(1, 50_000)).unwrap();
-        assert_eq!(po.anchor_count(), 2);
-        assert!(po.reachable(n(0, 3), n(1, 99_999)));
-        assert!(!po.reachable(n(0, 11), n(1, 99_999)));
-    }
-
-    #[test]
-    fn dense_propagation_is_linear_anchored_is_not() {
-        // Insert edges targeting early positions of a long chain; the
-        // dense VC must walk every later materialized event, while the
-        // anchored one touches only anchors.
+    fn dense_propagation_walks_the_chain() {
+        // An edge into the very beginning of a long materialized chain
+        // propagates across every later clock row.
         let n_events = 5_000u32;
-        let mut dense = VectorClockIndex::with_capacity(3, n_events as usize);
-        let mut anchored = AnchoredVectorClockIndex::with_capacity(3, n_events as usize);
+        let mut po = VectorClockIndex::with_capacity(3, n_events as usize);
         // Materialize the chain by a late incoming edge first.
-        dense.insert_edge(n(0, 1), n(1, n_events - 1)).unwrap();
-        anchored.insert_edge(n(0, 1), n(1, n_events - 1)).unwrap();
-        let before_dense = dense.join_work();
-        let before_anchored = anchored.join_work();
-        // Now an edge into the very beginning of chain 1 propagates
-        // across all materialized rows for the dense variant.
-        dense.insert_edge(n(2, 0), n(1, 0)).unwrap();
-        anchored.insert_edge(n(2, 0), n(1, 0)).unwrap();
-        let dense_work = dense.join_work() - before_dense;
-        let anchored_work = anchored.join_work() - before_anchored;
+        po.insert_edge(n(0, 1), n(1, n_events - 1)).unwrap();
+        let before = po.join_work();
+        po.insert_edge(n(2, 0), n(1, 0)).unwrap();
+        let work = po.join_work() - before;
         assert!(
-            dense_work > (n_events as u64) * 2,
-            "dense propagation must walk the chain: {dense_work}"
+            work > (n_events as u64) * 2,
+            "dense propagation must walk the chain: {work}"
         );
-        assert!(
-            anchored_work < 100,
-            "anchored propagation must stay sparse: {anchored_work}"
-        );
-        // Both still answer identically.
         for j in [0u32, 1, 2_500, n_events - 1] {
-            assert_eq!(
-                dense.reachable(n(2, 0), n(1, j)),
-                anchored.reachable(n(2, 0), n(1, j))
-            );
+            assert!(po.reachable(n(2, 0), n(1, j)));
         }
     }
 

@@ -3,9 +3,8 @@
 //! the naive oracle.
 
 use csst_core::{
-    AnchoredVectorClockIndex, Csst, GraphIndex, IncrementalCsst, NaiveIndex, NaiveSuffixArray,
-    NodeId, PartialOrderIndex, SegTreeIndex, SegmentTree, SparseSegmentTree, SuffixMinima,
-    ThreadId, VectorClockIndex, INF,
+    Csst, GraphIndex, IncrementalCsst, NaiveIndex, NaiveSuffixArray, NodeId, PartialOrderIndex,
+    SegTreeIndex, SegmentTree, SparseSegmentTree, SuffixMinima, ThreadId, VectorClockIndex, INF,
 };
 use proptest::prelude::*;
 
@@ -666,23 +665,21 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
-// The worklist query engine: memoized and memo-free CSSTs against the
-// naive and graph oracles, with epochs rolling mid-script.
+// The worklist query engine: the CSST against the naive and graph
+// oracles, with epochs rolling mid-script.
 // ---------------------------------------------------------------------------
 
-/// Runs one insert/delete script on a memoized CSST, a memo-disabled
-/// CSST, and both oracles, interleaving a query grid after every
-/// update. Every query is issued **twice** per index so the memoized
-/// one answers the repeat from its closure cache at that exact epoch —
-/// inserts and deletes in the script then genuinely roll the epoch
-/// between bursts. With `forward_only`, target positions are rewritten
+/// Runs one insert/delete script on a CSST and both oracles,
+/// interleaving a query grid after every update. Every query is issued
+/// **twice**, so the repeat is answered from the memo's closure cache
+/// wherever the first run stored one at that exact epoch — inserts and
+/// deletes in the script then genuinely roll the epoch between
+/// bursts. With `forward_only`, target positions are rewritten
 /// past their sources so the engine's Dijkstra mode (single-pop
 /// finalization, bounded early exit) answers; otherwise backward edges
 /// keep it on the chaotic-iteration fallback.
 fn run_query_engine_script(k: u32, cap: u32, ops: &[PoOp], forward_only: bool) {
-    let mut memoized = Csst::new();
-    let mut bare = Csst::new();
-    bare.set_query_memo_capacity(0);
+    let mut po = Csst::new();
     let mut naive = NaiveIndex::new();
     let mut graph = GraphIndex::new();
     let mut live: Vec<(NodeId, NodeId)> = Vec::new();
@@ -698,9 +695,7 @@ fn run_query_engine_script(k: u32, cap: u32, ops: &[PoOp], forward_only: bool) {
                 if naive.reachable(v, u) {
                     continue; // keep the relation acyclic
                 }
-                for po in [&mut memoized, &mut bare] {
-                    po.insert_edge(u, v).unwrap();
-                }
+                po.insert_edge(u, v).unwrap();
                 naive.insert_edge(u, v).unwrap();
                 graph.insert_edge(u, v).unwrap();
                 live.push((u, v));
@@ -710,9 +705,7 @@ fn run_query_engine_script(k: u32, cap: u32, ops: &[PoOp], forward_only: bool) {
                     continue;
                 }
                 let (u, v) = live.swap_remove(i % live.len());
-                for po in [&mut memoized, &mut bare] {
-                    po.delete_edge(u, v).unwrap();
-                }
+                po.delete_edge(u, v).unwrap();
                 naive.delete_edge(u, v).unwrap();
                 graph.delete_edge(u, v).unwrap();
             }
@@ -727,33 +720,27 @@ fn run_query_engine_script(k: u32, cap: u32, ops: &[PoOp], forward_only: bool) {
                     assert_eq!(graph.successor(u, c), exp_s, "graph successor({u}, {c})");
                     assert_eq!(graph.predecessor(u, c), exp_p);
                     for _ in 0..2 {
-                        assert_eq!(memoized.successor(u, c), exp_s, "memo successor({u}, {c})");
-                        assert_eq!(bare.successor(u, c), exp_s, "bare successor({u}, {c})");
-                        assert_eq!(memoized.predecessor(u, c), exp_p);
-                        assert_eq!(bare.predecessor(u, c), exp_p);
+                        assert_eq!(po.successor(u, c), exp_s, "successor({u}, {c})");
+                        assert_eq!(po.predecessor(u, c), exp_p, "predecessor({u}, {c})");
                     }
                     let v = NodeId::new(t2, (j1 * 7 + t2) % cap);
                     let exp_r = naive.reachable(u, v);
                     assert_eq!(graph.reachable(u, v), exp_r);
                     for _ in 0..2 {
-                        assert_eq!(memoized.reachable(u, v), exp_r, "memo reachable({u}, {v})");
-                        assert_eq!(bare.reachable(u, v), exp_r);
+                        assert_eq!(po.reachable(u, v), exp_r, "reachable({u}, {v})");
                     }
                 }
             }
         }
-        // The same grid through the batched API, with the memo both
-        // hot (memoized, just warmed by the sequential queries above)
-        // and disabled (bare).
-        assert_batched_matches_sequential(&memoized, k, cap);
-        assert_batched_matches_sequential(&bare, k, cap);
+        // The same grid through the batched API, with the memo just
+        // warmed by the sequential queries above.
+        assert_batched_matches_sequential(&po, k, cap);
         assert_batched_matches_sequential(&graph, k, cap);
     }
 }
 
-/// Pins the per-probe engine beyond the bitset frontier width to the
-/// oracle: with `k > MAX_BITSET_CHAINS` the worklist takes the
-/// stamped-list fallback path. Edges are applied in `insert_edges`
+/// Pins the per-probe engine on a wide domain (`k` in the tens) to
+/// the oracle. Edges are applied in `insert_edges`
 /// bursts so query epochs roll mid-script; after every burst the whole
 /// query grid is checked against `NaiveIndex`, one probe at a time and
 /// through the batched API.
@@ -839,8 +826,6 @@ proptest! {
 
     #[test]
     fn wide_k_batched_matches_sequential(ops in po_ops(66, 6, false)) {
-        // 66 chains > MAX_BITSET_CHAINS (64): the stamped-list
-        // fallback frontier, not the u64 bitset, answers every probe.
         run_wide_k_batched_script(66, 6, &ops);
     }
 }
@@ -954,7 +939,6 @@ proptest! {
         run_batch_vs_sequential::<IncrementalCsst>(5, 14, &raw);
         run_batch_vs_sequential::<SegTreeIndex>(5, 14, &raw);
         run_batch_vs_sequential::<VectorClockIndex>(5, 14, &raw);
-        run_batch_vs_sequential::<AnchoredVectorClockIndex>(5, 14, &raw);
     }
 
     #[test]

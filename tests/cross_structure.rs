@@ -4,8 +4,8 @@
 //! naive oracle support.
 
 use csst_core::{
-    AnchoredVectorClockIndex, Csst, GraphIndex, IncrementalCsst, NaiveIndex, NodeId,
-    PartialOrderIndex, SegTreeIndex, ThreadId, VectorClockIndex,
+    Csst, GraphIndex, IncrementalCsst, NaiveIndex, NodeId, PartialOrderIndex, SegTreeIndex,
+    ThreadId, VectorClockIndex,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -31,7 +31,6 @@ fn incremental_structures_agree_under_random_inserts() {
         let mut csst = IncrementalCsst::with_capacity(k as usize, cap as usize);
         let mut st = SegTreeIndex::with_capacity(k as usize, cap as usize);
         let mut vc = VectorClockIndex::with_capacity(k as usize, cap as usize);
-        let mut avc = AnchoredVectorClockIndex::with_capacity(k as usize, cap as usize);
         let mut dy = Csst::with_capacity(k as usize, cap as usize);
         for _ in 0..80 {
             let (u, v) = random_cross_edge(&mut rng, k, cap);
@@ -42,7 +41,6 @@ fn incremental_structures_agree_under_random_inserts() {
             csst.insert_edge(u, v).unwrap();
             st.insert_edge(u, v).unwrap();
             vc.insert_edge(u, v).unwrap();
-            avc.insert_edge(u, v).unwrap();
             dy.insert_edge(u, v).unwrap();
         }
         for _ in 0..500 {
@@ -51,20 +49,17 @@ fn incremental_structures_agree_under_random_inserts() {
             assert_eq!(csst.reachable(u, v), expect, "seed {seed}: CSST {u}→{v}");
             assert_eq!(st.reachable(u, v), expect, "seed {seed}: ST {u}→{v}");
             assert_eq!(vc.reachable(u, v), expect, "seed {seed}: VC {u}→{v}");
-            assert_eq!(avc.reachable(u, v), expect, "seed {seed}: aVC {u}→{v}");
             assert_eq!(dy.reachable(u, v), expect, "seed {seed}: dyn {u}→{v}");
             let t = ThreadId(rng.gen_range(0..k));
             let expect_s = naive.successor(u, t);
             assert_eq!(csst.successor(u, t), expect_s, "seed {seed}: succ");
             assert_eq!(st.successor(u, t), expect_s);
             assert_eq!(vc.successor(u, t), expect_s);
-            assert_eq!(avc.successor(u, t), expect_s);
             assert_eq!(dy.successor(u, t), expect_s);
             let expect_p = naive.predecessor(u, t);
             assert_eq!(csst.predecessor(u, t), expect_p, "seed {seed}: pred");
             assert_eq!(st.predecessor(u, t), expect_p);
             assert_eq!(vc.predecessor(u, t), expect_p);
-            assert_eq!(avc.predecessor(u, t), expect_p);
             assert_eq!(dy.predecessor(u, t), expect_p);
         }
     }
