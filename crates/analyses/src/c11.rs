@@ -41,6 +41,7 @@
 //! ```
 
 use crate::common::{BaseOrderBuilder, WindowStats};
+use crate::hb::AccessFrontier;
 use crate::Analysis;
 use csst_core::{NodeId, PartialOrderIndex, ThreadId};
 use csst_trace::{EventKind, Trace, VarId};
@@ -82,14 +83,6 @@ struct StoreInfo {
     release: bool,
 }
 
-/// Plain-access bookkeeping for the race check: per variable, the last
-/// write and the last read of each thread.
-#[derive(Debug, Clone, Default)]
-struct PlainState {
-    last_write: Option<NodeId>,
-    last_read: Vec<Option<NodeId>>,
-}
-
 /// Genuinely online C11Tester-style detector: every [`feed`] updates
 /// the happens-before index and checks conflicting plain accesses
 /// immediately — no event is ever buffered, exactly like
@@ -107,7 +100,9 @@ pub struct C11Detector<P> {
     /// and, per value, the value that overwrote it.
     latest_of_var: HashMap<VarId, u64>,
     overwritten_by: HashMap<u64, u64>,
-    plain: HashMap<VarId, PlainState>,
+    /// Plain-access bookkeeping for the race check: per variable, the
+    /// last write and each thread's last read (hb's frontier).
+    plain: AccessFrontier,
     races: Vec<(NodeId, NodeId)>,
     sw_edges: usize,
     fr_edges: usize,
@@ -152,13 +147,6 @@ impl<P: PartialOrderIndex> C11Detector<P> {
             self.overwritten_by.insert(prev, value);
         }
     }
-
-    fn read_slot(st: &mut PlainState, t: ThreadId) -> &mut Option<NodeId> {
-        if t.index() >= st.last_read.len() {
-            st.last_read.resize(t.index() + 1, None);
-        }
-        &mut st.last_read[t.index()]
-    }
 }
 
 impl<P: PartialOrderIndex> Analysis for C11Detector<P> {
@@ -172,7 +160,7 @@ impl<P: PartialOrderIndex> Analysis for C11Detector<P> {
             store_of_value: HashMap::new(),
             latest_of_var: HashMap::new(),
             overwritten_by: HashMap::new(),
-            plain: HashMap::new(),
+            plain: AccessFrontier::new(),
             races: Vec::new(),
             sw_edges: 0,
             fr_edges: 0,
@@ -197,29 +185,13 @@ impl<P: PartialOrderIndex> Analysis for C11Detector<P> {
             EventKind::AtomicStore { var, order, value } => {
                 self.record_store(id, var, value, order.is_release());
             }
-            EventKind::Read { var, .. } => {
-                let st = self.plain.entry(var).or_default();
-                if let Some(w) = st.last_write {
-                    if w.thread != thread && !self.builder.po().reachable(w, id) {
-                        self.races.push((w, id));
-                    }
-                }
-                *Self::read_slot(st, thread) = Some(id);
-            }
-            EventKind::Write { var, .. } => {
-                let st = self.plain.entry(var).or_default();
-                if let Some(w) = st.last_write {
-                    if w.thread != thread && !self.builder.po().reachable(w, id) {
-                        self.races.push((w, id));
-                    }
-                }
-                for r in st.last_read.iter().flatten() {
-                    if r.thread != thread && !self.builder.po().reachable(*r, id) {
-                        self.races.push((*r, id));
-                    }
-                }
-                st.last_write = Some(id);
-                st.last_read.clear();
+            EventKind::Read { var, .. } | EventKind::Write { var, .. } => {
+                let is_write = matches!(event, EventKind::Write { .. });
+                let races = &mut self.races;
+                self.plain
+                    .on_access(self.builder.po(), id, var, is_write, |_, src| {
+                        races.push((src, id));
+                    });
             }
             _ => {}
         }

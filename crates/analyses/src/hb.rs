@@ -68,8 +68,10 @@ pub struct HbReport<P> {
 /// detectors agree edge-for-edge.
 #[derive(Debug, Default)]
 pub struct SyncTracker {
-    /// Events seen so far per thread (the next event's position).
-    counts: HashMap<ThreadId, u32>,
+    /// Events seen so far per thread (the next event's position),
+    /// indexed by thread id (grown on demand; decoders bound thread
+    /// ids by `MAX_CHAINS`).
+    counts: Vec<u32>,
     last_release: HashMap<LockId, NodeId>,
     /// Fork events whose child has not produced an event yet: the
     /// fork→first-event edge is emitted when (and if) the child
@@ -96,9 +98,11 @@ impl SyncTracker {
         event: &EventKind,
         edges: &mut Vec<(NodeId, NodeId)>,
     ) -> NodeId {
-        let pos = self.counts.entry(thread).or_insert(0);
-        let id = NodeId::new(thread, *pos);
-        *pos += 1;
+        if thread.index() >= self.counts.len() {
+            self.counts.resize(thread.index() + 1, 0);
+        }
+        let id = NodeId::new(thread, self.counts[thread.index()]);
+        self.counts[thread.index()] += 1;
         // A freshly started chain resolves the forks waiting for it.
         if id.pos == 0 {
             for fork in self.pending_forks.remove(&thread).unwrap_or_default() {
@@ -117,7 +121,7 @@ impl SyncTracker {
                 self.last_release.insert(lock, id);
             }
             EventKind::Fork { child } if child != thread => {
-                let started = self.counts.get(&child).copied().unwrap_or(0);
+                let started = self.chain_len(child);
                 if started > 0 {
                     edges.push((id, NodeId::new(child, 0)));
                 } else {
@@ -125,7 +129,7 @@ impl SyncTracker {
                 }
             }
             EventKind::Join { child } => {
-                let len = self.counts.get(&child).copied().unwrap_or(0);
+                let len = self.chain_len(child);
                 if child != thread && len > 0 {
                     edges.push((NodeId::new(child, len - 1), id));
                 }
@@ -135,21 +139,28 @@ impl SyncTracker {
         id
     }
 
+    /// Events `thread` has produced so far.
+    fn chain_len(&self, thread: ThreadId) -> u32 {
+        self.counts.get(thread.index()).copied().unwrap_or(0)
+    }
+
     /// Approximate heap footprint in bytes.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         size_of::<Self>()
-            + self.counts.capacity() * size_of::<(ThreadId, u32)>()
+            + self.counts.capacity() * size_of::<u32>()
             + self.last_release.capacity() * size_of::<(LockId, NodeId)>()
             + self.pending_forks.capacity() * size_of::<(ThreadId, Vec<NodeId>)>()
     }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct VarState {
     last_write: Option<NodeId>,
-    /// Last read per thread, indexed by thread id (grown on demand).
-    last_read: Vec<Option<NodeId>>,
+    /// Each thread's last read since `last_write`, one entry per
+    /// reading thread, sorted by thread: the footprint follows the
+    /// readers, not the largest thread id.
+    readers: Vec<NodeId>,
 }
 
 /// The per-variable access frontier of the streaming detector: the last
@@ -179,13 +190,6 @@ impl AccessFrontier {
         AccessFrontier::default()
     }
 
-    fn read_slot(st: &mut VarState, t: ThreadId) -> &mut Option<NodeId> {
-        if t.index() >= st.last_read.len() {
-            st.last_read.resize(t.index() + 1, None);
-        }
-        &mut st.last_read[t.index()]
-    }
-
     /// Checks access `id` to `var` against the frontier over `po`,
     /// calling `report(probe_idx, src)` for every unordered conflicting
     /// source, then advances the frontier.
@@ -197,17 +201,17 @@ impl AccessFrontier {
         is_write: bool,
         mut report: impl FnMut(usize, NodeId),
     ) {
-        let st = self.vars.entry(var).or_insert_with(|| VarState {
-            last_write: None,
-            last_read: Vec::new(),
-        });
+        let st = self.vars.entry(var).or_default();
         if !is_write {
             if let Some(w) = st.last_write {
                 if w.thread != id.thread && !po.reachable(w, id) {
                     report(0, w);
                 }
             }
-            *Self::read_slot(st, id.thread) = Some(id);
+            match st.readers.binary_search_by_key(&id.thread, |r| r.thread) {
+                Ok(i) => st.readers[i] = id,
+                Err(i) => st.readers.insert(i, id),
+            }
             return;
         }
         // The write conflicts with the whole access frontier
@@ -220,7 +224,7 @@ impl AccessFrontier {
                 self.probe_buf.push((w, id));
             }
         }
-        for r in st.last_read.iter().flatten() {
+        for r in &st.readers {
             if r.thread != id.thread {
                 self.probe_buf.push((*r, id));
             }
@@ -232,7 +236,12 @@ impl AccessFrontier {
             }
         }
         st.last_write = Some(id);
-        st.last_read.clear();
+        st.readers.clear();
+    }
+
+    /// Forgets every variable's accesses (a window boundary).
+    pub fn clear(&mut self) {
+        self.vars.clear();
     }
 
     /// Approximate heap footprint in bytes.
@@ -243,8 +252,7 @@ impl AccessFrontier {
                 .vars
                 .values()
                 .map(|st| {
-                    size_of::<(VarId, VarState)>()
-                        + st.last_read.capacity() * size_of::<Option<NodeId>>()
+                    size_of::<(VarId, VarState)>() + st.readers.capacity() * size_of::<NodeId>()
                 })
                 .sum::<usize>()
             + self.probe_buf.capacity() * size_of::<(NodeId, NodeId)>()
@@ -410,6 +418,36 @@ mod tests {
         assert_eq!(r.sync_edges, 1);
         assert_eq!(r.races, vec![(NodeId::new(1, 1), NodeId::new(2, 0))]);
         assert_eq!(r.hb.chains(), 3, "the index grew with the stream");
+    }
+
+    #[test]
+    fn reader_tables_follow_readers_not_thread_ids() {
+        use csst_trace::EventKind as K;
+        let mut hb = HbDetector::<VectorClockIndex>::new(());
+        for v in 0..200 {
+            hb.feed(
+                ThreadId(0),
+                K::Write {
+                    var: VarId(v),
+                    value: 1,
+                },
+            );
+        }
+        for v in 0..200 {
+            hb.feed(
+                ThreadId(60_000),
+                K::Read {
+                    var: VarId(v),
+                    value: 1,
+                },
+            );
+        }
+        assert!(
+            hb.frontier.memory_bytes() < 64 * 1024,
+            "frontier holds {} bytes for one reader of 200 variables",
+            hb.frontier.memory_bytes()
+        );
+        assert_eq!(hb.races().len(), 200);
     }
 
     #[test]

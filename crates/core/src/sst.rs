@@ -31,6 +31,17 @@
 //! from the range compare (branchless binary search), so the hot walks
 //! are straight-line index chases the branch predictor never has to
 //! guess.
+//!
+//! **Tail bound.** The tree keeps `hi`, an upper bound on its largest
+//! stored index: every store raises it, an erase leaves it alone (it
+//! stays a valid bound, just possibly stale), and it resets when the
+//! tree empties. A suffix query starting past `hi` has nothing to find
+//! and answers `∞` in `O(1)` instead of walking root to leaf. Streaming
+//! analyses ask exactly this query all the time: a cycle probe or
+//! successor query from a freshly appended event reads every pair
+//! array of its chain from the newest position, past every stored edge
+//! source. A query between a stale `hi` and the live maximum takes the
+//! ordinary walk, which is still exact.
 
 use crate::index::{Pos, INF};
 use crate::suffix::SuffixMinima;
@@ -196,6 +207,11 @@ pub struct SparseSegmentTree {
     blocks: BlockArena,
     root: u32,
     len: usize,
+    /// Upper bound on the largest stored index: raised by every store,
+    /// never lowered by an erase, reset to 0 when the tree empties. A
+    /// suffix query starting past it has nothing to find and answers
+    /// [`INF`] without a walk.
+    hi: Pos,
     block_size: u32,
     density: usize,
     peak_density: usize,
@@ -218,6 +234,7 @@ impl SparseSegmentTree {
             blocks: BlockArena::default(),
             root: NIL,
             len,
+            hi: 0,
             block_size,
             density: 0,
             peak_density: 0,
@@ -263,7 +280,9 @@ impl SparseSegmentTree {
     /// 4. each array index is represented at most once;
     /// 5. the tracked density equals the number of stored entries;
     /// 6. live block extents and free-listed extents tile the block
-    ///    arena exactly (no leaked or double-booked cells).
+    ///    arena exactly (no leaked or double-booked cells);
+    /// 7. every stored index is ≤ the tail bound `hi` (which lets
+    ///    `suffix_min` answer past it without a walk).
     ///
     /// # Panics
     ///
@@ -346,6 +365,13 @@ impl SparseSegmentTree {
             rec(self, self.root, &mut seen, &mut block_cells);
         }
         assert_eq!(seen.len(), self.density, "density counter out of sync");
+        if let Some(&max) = seen.iter().max() {
+            assert!(
+                max <= self.hi,
+                "stored index {max} past the tail bound {}",
+                self.hi
+            );
+        }
         assert_eq!(
             block_cells + self.blocks.free_cells,
             self.blocks.data.len(),
@@ -867,12 +893,16 @@ impl SuffixMinima for SparseSegmentTree {
         let pos = i as Pos;
         if self.erase(pos) {
             self.density -= 1;
+            if self.density == 0 {
+                self.hi = 0;
+            }
         }
         if v == INF {
             return;
         }
         self.density += 1;
         self.peak_density = self.peak_density.max(self.density);
+        self.hi = self.hi.max(pos);
         if self.root == NIL {
             self.root = self.new_leaf(pos, v);
         } else if self.nodes[self.root as usize].contains(pos) {
@@ -884,7 +914,10 @@ impl SuffixMinima for SparseSegmentTree {
 
     #[inline]
     fn suffix_min(&self, i: usize) -> Pos {
-        if i >= self.len {
+        // The tail bound: nothing is stored past `hi` (nor at or past
+        // `len`, which `hi` stays below), so the walk is skipped. An
+        // empty tree has `hi = 0` and no root, so it never walks.
+        if i > self.hi as usize {
             return INF;
         }
         self.min_from(i as Pos)
@@ -1145,6 +1178,27 @@ mod tests {
                     }
                 }
                 assert_equiv(&sst, &oracle);
+                // Tail-bound inputs: erase the max (the bound goes
+                // stale), drain to empty (it resets), refill (it
+                // rises again). Past the live max there is nothing.
+                let max_of =
+                    |oracle: &NaiveSuffixArray| (0..n).rfind(|&i| oracle.suffix_min(i) != INF);
+                let check_tail = |sst: &SparseSegmentTree, oracle: &NaiveSuffixArray| {
+                    sst.assert_invariants();
+                    assert_equiv(sst, oracle);
+                    assert_eq!(sst.suffix_min(max_of(oracle).map_or(0, |m| m + 1)), INF);
+                };
+                while let Some(max) = max_of(&oracle) {
+                    sst.update(max, INF);
+                    oracle.update(max, INF);
+                    check_tail(&sst, &oracle);
+                }
+                for i in (0..n).step_by(3) {
+                    let v = rng.gen_range(0..50);
+                    sst.update(i, v);
+                    oracle.update(i, v);
+                    check_tail(&sst, &oracle);
+                }
             }
         }
     }
