@@ -187,11 +187,8 @@ impl<P: PartialOrderIndex> Analysis for C11Detector<P> {
             }
             EventKind::Read { var, .. } | EventKind::Write { var, .. } => {
                 let is_write = matches!(event, EventKind::Write { .. });
-                let races = &mut self.races;
                 self.plain
-                    .on_access(self.builder.po(), id, var, is_write, |_, src| {
-                        races.push((src, id));
-                    });
+                    .on_access(self.builder.po(), id, var, is_write, &mut self.races);
             }
             _ => {}
         }

@@ -1,6 +1,5 @@
 //! Shared infrastructure for the analyses: streaming base-order
-//! construction, windowed retirement, index construction helpers,
-//! operation counting, and ordering primitives.
+//! construction, windowed retirement, and ordering primitives.
 //!
 //! The centerpiece is [`BaseOrderBuilder`], the component every
 //! predictive analysis embeds to grow its *base order* incrementally
@@ -11,35 +10,6 @@
 use csst_core::{NodeId, PartialOrderIndex, PoError, Pos, ThreadId};
 use csst_trace::{EventKind, Trace, VarId};
 use std::collections::HashMap;
-
-/// Creates an index pre-sized for `trace`: one chain per thread,
-/// capacity hint equal to the longest thread chain (at least 1).
-/// Purely an allocation hint — the index still grows on demand.
-pub fn index_for_trace<P: PartialOrderIndex>(trace: &Trace) -> P {
-    P::with_capacity(trace.num_threads().max(1), trace.max_chain_len().max(1))
-}
-
-/// Inserts the fork/join structure of `trace` into `po`: a `fork(c)`
-/// event precedes the first event of `c`; the last event of `c`
-/// precedes a `join(c)` event.
-pub fn insert_fork_join<P: PartialOrderIndex>(po: &mut P, trace: &Trace) {
-    for (id, ev) in trace.iter_order() {
-        match ev.kind {
-            EventKind::Fork { child } if trace.thread_len(child) > 0 && child != id.thread => {
-                let first = NodeId::new(child, 0);
-                let _ = po.insert_edge_checked(id, first);
-            }
-            EventKind::Join { child } => {
-                let len = trace.thread_len(child);
-                if len > 0 && child != id.thread {
-                    let last = NodeId::new(child, (len - 1) as u32);
-                    let _ = po.insert_edge_checked(last, id);
-                }
-            }
-            _ => {}
-        }
-    }
-}
 
 /// Outcome of [`require_order`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,11 +69,10 @@ pub struct WindowStats {
 /// # Modes
 ///
 /// * [`observing`](Self::observing) — the builder buffers events and
-///   inserts the *observation* edges (fork/join structure plus
-///   reads-from, exactly the edge set of
-///   [`insert_observation`](crate::saturation::insert_observation))
-///   online as events arrive. Used by `race`, `deadlock`, `membug` and
-///   `uaf`.
+///   inserts the *observation* edges (fork → the child's first event,
+///   the child's last event → join, and each read's latest write →
+///   the read) online as events arrive. Used by `race`, `deadlock`,
+///   `membug` and `uaf`.
 /// * [`counting`](Self::counting) — no event bodies are stored at
 ///   all; the builder only assigns global [`NodeId`]s, tracks the
 ///   window boundary and logs the edges the analysis inserts through
@@ -630,9 +599,11 @@ mod tests {
         b.on(1).write(x, 1);
         b.on(1).write(x, 2);
         b.on(0).join(1);
-        let trace = b.build();
-        let mut po: IncrementalCsst = index_for_trace(&trace);
-        insert_fork_join(&mut po, &trace);
+        let mut builder = BaseOrderBuilder::<IncrementalCsst>::observing(None);
+        for (id, ev) in b.build().iter_order() {
+            builder.feed(id.thread, ev.kind);
+        }
+        let po = builder.po();
         // fork (0,0) → first of child (1,0); last of child (1,1) → join (0,1).
         assert!(po.reachable(NodeId::new(0, 0), NodeId::new(1, 1)));
         assert!(po.reachable(NodeId::new(1, 0), NodeId::new(0, 1)));

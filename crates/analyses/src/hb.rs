@@ -61,11 +61,7 @@ pub struct HbReport<P> {
 /// release→acquire matching, and fork/join resolution are pure
 /// bookkeeping over per-thread counters.
 ///
-/// [`HbDetector`] runs one of these in front of its index; the sharded
-/// ingest pipeline (`csst-serve`) runs the *same* tracker on the router
-/// thread and broadcasts the emitted edges to every shard replica —
-/// sharing the implementation is what makes the sharded and sequential
-/// detectors agree edge-for-edge.
+/// [`HbDetector`] runs one of these in front of its index.
 #[derive(Debug, Default)]
 pub struct SyncTracker {
     /// Events seen so far per thread (the next event's position),
@@ -165,17 +161,10 @@ struct VarState {
 
 /// The per-variable access frontier of the streaming detector: the last
 /// write plus every thread's last read, checked against each new access
-/// by reachability probes into a caller-supplied index.
-///
-/// This is the expensive half of HB detection (the probes), split out
-/// so the sharded pipeline can partition it by variable: each shard
-/// worker owns the frontier of the variables routed to it and probes
-/// its own index replica. Race callbacks report `(probe_idx, src)`
-/// where `probe_idx` is the position within the event's deterministic
-/// probe order (last write first, then last reads by thread index), so
-/// callers can reconstruct the sequential detector's exact race order.
+/// by reachability probes into a caller-supplied index. [`HbDetector`]
+/// and [`C11Detector`](crate::c11::C11Detector) share it.
 #[derive(Debug, Default)]
-pub struct AccessFrontier {
+pub(crate) struct AccessFrontier {
     vars: HashMap<VarId, VarState>,
     /// Scratch for the write-case frontier check: the last write plus
     /// every thread's last read, probed in one
@@ -191,21 +180,22 @@ impl AccessFrontier {
     }
 
     /// Checks access `id` to `var` against the frontier over `po`,
-    /// calling `report(probe_idx, src)` for every unordered conflicting
-    /// source, then advances the frontier.
+    /// pushing `(src, id)` onto `races` for every unordered conflicting
+    /// source (last write first, then last reads by thread), then
+    /// advances the frontier.
     pub fn on_access<P: PartialOrderIndex>(
         &mut self,
         po: &P,
         id: NodeId,
         var: VarId,
         is_write: bool,
-        mut report: impl FnMut(usize, NodeId),
+        races: &mut Vec<(NodeId, NodeId)>,
     ) {
         let st = self.vars.entry(var).or_default();
         if !is_write {
             if let Some(w) = st.last_write {
                 if w.thread != id.thread && !po.reachable(w, id) {
-                    report(0, w);
+                    races.push((w, id));
                 }
             }
             match st.readers.binary_search_by_key(&id.thread, |r| r.thread) {
@@ -230,9 +220,9 @@ impl AccessFrontier {
             }
         }
         po.reachable_batch(&self.probe_buf, &mut self.reach_buf);
-        for (i, (&(src, _), &ordered)) in self.probe_buf.iter().zip(&self.reach_buf).enumerate() {
+        for (&probe, &ordered) in self.probe_buf.iter().zip(&self.reach_buf) {
             if !ordered {
-                report(i, src);
+                races.push(probe);
             }
         }
         st.last_write = Some(id);
@@ -245,7 +235,8 @@ impl AccessFrontier {
     }
 
     /// Approximate heap footprint in bytes.
-    pub fn memory_bytes(&self) -> usize {
+    #[cfg(test)]
+    fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         size_of::<Self>()
             + self
@@ -265,8 +256,8 @@ impl AccessFrontier {
 /// See the [module docs](self) for the streaming/batch contrast; batch
 /// [`detect`] is a thin wrapper feeding a recorded trace through this
 /// type. Internally it composes the two reusable halves of the
-/// analysis: a [`SyncTracker`] deriving synchronization edges and an
-/// [`AccessFrontier`] probing conflicting accesses.
+/// analysis: a [`SyncTracker`] deriving synchronization edges and a
+/// per-variable access frontier probing conflicting accesses.
 #[derive(Debug)]
 pub struct HbDetector<P> {
     hb: P,
@@ -324,11 +315,8 @@ impl<P: PartialOrderIndex> Analysis for HbDetector<P> {
         match event {
             EventKind::Read { var, .. } | EventKind::Write { var, .. } => {
                 let is_write = matches!(event, EventKind::Write { .. });
-                let races = &mut self.races;
                 self.frontier
-                    .on_access(&self.hb, id, var, is_write, |_, src| {
-                        races.push((src, id));
-                    });
+                    .on_access(&self.hb, id, var, is_write, &mut self.races);
             }
             _ => {}
         }

@@ -93,10 +93,8 @@ pub struct RaceReport<P> {
 /// variable within the `recent`-access recency window, from different
 /// threads, in trace order.
 ///
-/// Pure over the (window-local) trace — no index involved — so the
-/// sharded pipeline runs it once on the coordinator and fans only the
-/// per-candidate witness checks out to workers.
-pub fn enumerate_candidates(trace: &Trace, recent: usize) -> Vec<(NodeId, NodeId)> {
+/// Pure over the (window-local) trace — no index involved.
+fn enumerate_candidates(trace: &Trace, recent: usize) -> Vec<(NodeId, NodeId)> {
     let mut buf_by_var: HashMap<VarId, Vec<(NodeId, bool)>> = HashMap::new();
     let mut candidates: Vec<(NodeId, NodeId)> = Vec::new();
     for (id, ev) in trace.iter_order() {
@@ -124,10 +122,8 @@ pub fn enumerate_candidates(trace: &Trace, recent: usize) -> Vec<(NodeId, NodeId
 /// the batched API), not protected by a common lock, and within the
 /// first `cap` survivors (the candidate budget).
 ///
-/// Deterministic and independent of any witness outcome, which is what
-/// lets the sharded pipeline check the selected pairs in parallel and
-/// still report the sequential predictor's exact race list.
-pub fn select_candidates<P: PartialOrderIndex>(
+/// Deterministic and independent of any witness outcome.
+fn select_candidates<P: PartialOrderIndex>(
     win: &P,
     trace: &Trace,
     candidates: &[(NodeId, NodeId)],

@@ -104,7 +104,9 @@ pub struct ClosureCtx<'t> {
     /// every variable group restarts from the beginning of the trace,
     /// so insertions repeatedly target events deep inside the partial
     /// order (the non-streaming pattern of §1.1). The streaming
-    /// alternative is [`insert_observation`], used for base orders.
+    /// alternative is the trace-order base order that
+    /// [`BaseOrderBuilder::observing`](crate::BaseOrderBuilder::observing)
+    /// builds.
     rf_grouped: Vec<(NodeId, NodeId)>,
     /// Sorted write positions per (variable, chain).
     writes_at: HashMap<(VarId, usize), Vec<Pos>>,
@@ -187,11 +189,6 @@ impl<'t> ClosureCtx<'t> {
             forker,
             fork_join,
         }
-    }
-
-    /// Number of reads-from constraints.
-    pub fn rf_count(&self) -> usize {
-        self.rf.len()
     }
 }
 
@@ -519,46 +516,6 @@ pub fn saturate<P: PartialOrderIndex>(
     saturate_within(po, ctx, cfg, None)
 }
 
-/// Builds the *light* observed order of a trace: fork/join structure
-/// plus the trace's reads-from edges in trace order (the streaming
-/// order a real analysis uses for its base), without any saturation
-/// fixpoint. The predictive analyses build exactly this edge set
-/// incrementally per event through
-/// [`crate::BaseOrderBuilder::observing`] and use it for candidate
-/// filtering — the expensive closure happens per candidate in
-/// [`witness_co_enabled`], exactly as in M2. This batch form remains
-/// the one-shot equivalent for recorded traces.
-///
-/// Returns the number of edges inserted.
-pub fn insert_observation<P: PartialOrderIndex>(
-    po: &mut P,
-    trace: &Trace,
-    rf: &HashMap<NodeId, NodeId>,
-) -> usize {
-    crate::common::insert_fork_join(po, trace);
-    let mut rf_sorted: Vec<(NodeId, NodeId)> = rf.iter().map(|(&r, &w)| (r, w)).collect();
-    rf_sorted.sort_unstable_by_key(|&(r, _)| trace.trace_pos(r));
-    let mut inserted = 0usize;
-    for (r, w) in rf_sorted {
-        if require_order(po, w, r) == OrderOutcome::Inserted {
-            inserted += 1;
-        }
-    }
-    inserted
-}
-
-/// Builds the *observed* partial order of a trace: fork/join structure,
-/// the trace's own reads-from map, and full saturation.
-pub fn saturate_observed<P: PartialOrderIndex>(
-    po: &mut P,
-    trace: &Trace,
-    cfg: &SaturationCfg,
-) -> SaturationOutcome {
-    crate::common::insert_fork_join(po, trace);
-    let ctx = ClosureCtx::new(trace, None);
-    saturate(po, &ctx, cfg)
-}
-
 /// The witness check shared by the predictive analyses: are the `roots`
 /// co-enabled by some correct reordering of a trace prefix?
 ///
@@ -610,27 +567,6 @@ pub fn common_lock(trace: &Trace, a: NodeId, b: NodeId) -> bool {
     la.iter().any(|l| lb.contains(l))
 }
 
-/// Critical sections of `trace` whose acquire lies in the prefix,
-/// partitioned into closed and open. Exposed for analyses that need
-/// the raw section structure.
-pub fn sections_in_prefix(
-    trace: &Trace,
-    upto: &PrefixBounds,
-) -> (Vec<CriticalSection>, Vec<CriticalSection>) {
-    let mut closed = Vec::new();
-    let mut open = Vec::new();
-    for cs in trace.critical_sections() {
-        if cs.acquire.pos >= upto[cs.acquire.thread.index()] {
-            continue;
-        }
-        match cs.release {
-            Some(r) if r.pos < upto[r.thread.index()] => closed.push(cs),
-            _ => open.push(cs),
-        }
-    }
-    (closed, open)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -642,9 +578,7 @@ mod tests {
     }
 
     fn fresh<'t>(trace: &'t Trace) -> (IncrementalCsst, ClosureCtx<'t>) {
-        let po = crate::common::index_for_trace(trace);
-        let ctx = ClosureCtx::new(trace, None);
-        (po, ctx)
+        (IncrementalCsst::new(), ClosureCtx::new(trace, None))
     }
 
     #[test]
@@ -654,8 +588,8 @@ mod tests {
         b.on(0).write(x, 1); // (0,0)
         b.on(1).read(x, 1); // (1,0)
         let trace = b.build();
-        let mut po: IncrementalCsst = crate::common::index_for_trace(&trace);
-        let out = saturate_observed(&mut po, &trace, &SaturationCfg::default());
+        let (mut po, ctx) = fresh(&trace);
+        let out = saturate(&mut po, &ctx, &SaturationCfg::default());
         assert!(out.consistent);
         assert!(po.reachable(n(0, 0), n(1, 0)));
     }
@@ -709,8 +643,8 @@ mod tests {
         b.on(1).read(x, 1); // (1,1)
         b.on(1).release(m); // (1,2)
         let trace = b.build();
-        let mut po: IncrementalCsst = crate::common::index_for_trace(&trace);
-        let out = saturate_observed(&mut po, &trace, &SaturationCfg::default());
+        let (mut po, ctx) = fresh(&trace);
+        let out = saturate(&mut po, &ctx, &SaturationCfg::default());
         assert!(out.consistent);
         assert!(
             po.reachable(n(0, 2), n(1, 0)),
@@ -805,6 +739,10 @@ mod tests {
 
     #[test]
     fn sections_partition() {
+        // A prefix splits the sections it starts into closed ones
+        // (release inside) and open ones: two open sections on one lock
+        // contradict, and a closed one completes before an open one
+        // begins.
         let mut b = TraceBuilder::new();
         let m = b.lock("m");
         let g = b.lock("g");
@@ -812,11 +750,22 @@ mod tests {
         b.on(0).release(m); // (0,1)
         b.on(0).acquire(g); // (0,2)
         b.on(0).release(g); // (0,3)
+        b.on(1).acquire(g); // (1,0)
+        b.on(1).release(g); // (1,1)
         let trace = b.build();
-        let (closed, open) = sections_in_prefix(&trace, &vec![3u32]);
-        assert_eq!(closed.len(), 1);
-        assert_eq!(open.len(), 1, "g's section is cut open by the prefix");
-        assert_eq!(open[0].lock, g);
+        let ctx = ClosureCtx::new(&trace, None);
+        let run = |upto: PrefixBounds| {
+            let mut po = IncrementalCsst::new();
+            let out = saturate_within(&mut po, &ctx, &SaturationCfg::default(), Some(&upto));
+            (out, po)
+        };
+        assert!(!run(vec![3, 1]).0.consistent, "both g sections open");
+        let (out, po) = run(vec![4, 1]);
+        assert!(out.consistent);
+        assert!(po.reachable(n(0, 3), n(1, 0)), "closed g before open g");
+        let (out, _) = run(vec![3, 0]);
+        assert!(out.consistent, "one open g section");
+        assert_eq!(out.inserted, 0);
     }
 
     #[test]

@@ -12,13 +12,8 @@
 //! friends) — the hot path the analyses use — while the batch-size
 //! sweep varies the probes-per-call count from one (`query_batch1`) to
 //! 256 (`query_batch256`); only the graph baseline shares work across
-//! a call, every other representation answers per probe. The shard
-//! sweep `ingest_shards{1,2,4,8}` streams a generated racy program
-//! through the sharded HB pipeline (`csst_serve::ShardedHb`) at each
-//! worker count — the multi-core ingest scaling figure; on a
-//! single-core machine the curve is flat (or slightly inverted, paying
-//! the channel overhead), so read it together with the host's core
-//! count and with `hb_seq`, the same program through the sequential
+//! a call, every other representation answers per probe. `hb_seq`
+//! streams a generated racy program through the streaming
 //! `HbDetector`. The machine-readable JSON this
 //! module emits (`BENCH_PR7.json` via `scripts/bench.sh`) is the perf
 //! trajectory future PRs are compared against
@@ -35,7 +30,6 @@ use csst_analyses::hb;
 use csst_core::{
     Csst, GraphIndex, IncrementalCsst, NodeId, PartialOrderIndex, SegTreeIndex, VectorClockIndex,
 };
-use csst_serve::{ShardCfg, ShardedHb};
 use csst_trace::{gen, Trace};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -65,7 +59,7 @@ pub struct BenchCfg {
     pub sweep_queries: usize,
     /// Queries issued across each `query_update_r*` ratio point.
     pub ratio_queries: usize,
-    /// Trace events streamed through each `ingest_shards*` point.
+    /// Trace events `hb_seq` streams through the detector.
     pub ingest_events: usize,
     /// `true` for the CI smoke run (tiny sizes, numbers meaningless).
     pub smoke: bool,
@@ -536,9 +530,7 @@ fn run_query_update<P: PartialOrderIndex>(
     )
 }
 
-/// The racy program every point of the ingest sweep streams: the same
-/// trace at every shard count and for the sequential point, so the
-/// sweep compares engines, not inputs.
+/// The racy program `hb_seq` streams.
 fn ingest_trace(cfg: &BenchCfg) -> Trace {
     let threads = 8usize;
     gen::racy_program(&gen::RacyProgramCfg {
@@ -552,9 +544,8 @@ fn ingest_trace(cfg: &BenchCfg) -> Trace {
     })
 }
 
-/// The sequential point of the ingest sweep (`hb_seq`): the sweep's
-/// racy program streamed through [`hb::HbDetector`] on the calling thread,
-/// the engine `csst-serve` runs hb sessions on. Ops are trace events;
+/// `hb_seq`: a racy program streamed through [`hb::HbDetector`], the
+/// engine `csst-serve` runs hb sessions on. Ops are trace events;
 /// memory is the final index footprint.
 fn run_hb_seq<P: PartialOrderIndex>(
     cfg: &BenchCfg,
@@ -572,40 +563,6 @@ fn run_hb_seq<P: PartialOrderIndex>(
         repr,
         display,
         trace.total_events(),
-        elapsed,
-        mem,
-        mem,
-    )
-}
-
-/// One point of the shard sweep (`ingest_shards{1,2,4,8}`): a
-/// generated racy program streamed end-to-end through the sharded HB
-/// pipeline at `shards` worker threads (router + workers, watermark
-/// protocol, final merge). Ops are trace events; memory is the summed
-/// per-shard replica footprint reported by the workers plus the
-/// router's own index. Scaling with the shard count needs real cores:
-/// on a one-core host every point costs the same CPU and the extra
-/// shards only add channel overhead. `hb_seq` is the sequential
-/// point to read it against.
-fn run_ingest_shards<P: PartialOrderIndex + 'static>(
-    cfg: &BenchCfg,
-    repr: &'static str,
-    display: &'static str,
-    shards: usize,
-    workload: &'static str,
-) -> Measurement {
-    let trace = ingest_trace(cfg);
-    let start = Instant::now();
-    let report = ShardedHb::<P>::run(&trace, ShardCfg::with_shards(shards))
-        .expect("no faults injected: the sharded pipeline cannot fail here");
-    let elapsed = start.elapsed().as_nanos();
-    std::hint::black_box(report.races.len());
-    let mem: usize = report.shard_bytes.iter().sum();
-    measurement(
-        workload,
-        repr,
-        display,
-        report.events as usize,
         elapsed,
         mem,
         mem,
@@ -668,18 +625,6 @@ pub fn run(cfg: &BenchCfg) -> Vec<Measurement> {
         cfg.ingest_events
     );
     out.extend(all_reprs!(run_hb_seq));
-    for (s, name) in [
-        (1usize, "ingest_shards1"),
-        (2, "ingest_shards2"),
-        (4, "ingest_shards4"),
-        (8, "ingest_shards8"),
-    ] {
-        eprintln!(
-            "# bench: {name} ({} events through {s} shard worker(s))…",
-            cfg.ingest_events
-        );
-        out.extend(all_reprs!(run_ingest_shards, s, name));
-    }
     out
 }
 
@@ -790,8 +735,8 @@ mod tests {
             smoke: true,
         };
         let ms = run(&cfg);
-        // 18 workloads × 5 representations.
-        assert_eq!(ms.len(), 90);
+        // 14 workloads × 5 representations.
+        assert_eq!(ms.len(), 70);
         for m in &ms {
             if m.supported {
                 assert!(
@@ -818,10 +763,6 @@ mod tests {
             "query_batch16",
             "query_batch256",
             "hb_seq",
-            "ingest_shards1",
-            "ingest_shards2",
-            "ingest_shards4",
-            "ingest_shards8",
         ] {
             assert!(
                 ms.iter().any(|m| m.workload == name && m.supported),

@@ -6,13 +6,11 @@
 //!
 //! * **session-fatal** errors ([`Protocol`](ServeError::Protocol),
 //!   [`Decode`](ServeError::Decode), [`Deadline`](ServeError::Deadline),
-//!   [`Backpressure`](ServeError::Backpressure), [`Io`](ServeError::Io))
-//!   end one session with a structured ERROR frame; every other session
-//!   and the server itself keep running;
-//! * **component-fatal** errors ([`WorkerPanic`](ServeError::WorkerPanic))
-//!   report a panic caught at a worker or session boundary; a panic
-//!   inside a session's analysis ends that session with a `panic:`
-//!   ERROR;
+//!   [`Io`](ServeError::Io)) end one session with a structured ERROR
+//!   frame; every other session and the server itself keep running;
+//! * **component-fatal** errors ([`Panic`](ServeError::Panic)) report a
+//!   panic caught at the session boundary; a panic inside a session's
+//!   analysis ends that session with a `panic:` ERROR;
 //! * **recoverable** errors ([`Query`](ServeError::Query)) answer one
 //!   frame with an ERROR reply and leave the session open.
 //!
@@ -40,20 +38,12 @@ pub enum ServeError {
     /// An online query was malformed or unsupported; the session
     /// stays open.
     Query(String),
-    /// A session thread or shard worker panicked; the message carries
-    /// the captured panic payload.
-    WorkerPanic(String),
-    /// A bounded channel stayed full past the send deadline.
-    Backpressure {
-        /// The shard whose channel was full.
-        shard: usize,
-        /// How long the sender waited before giving up.
-        waited: Duration,
-    },
-    /// An operation missed its deadline (flush barrier, idle session,
-    /// query).
+    /// A session thread panicked; the message carries the captured
+    /// panic payload.
+    Panic(String),
+    /// An operation missed its deadline (an idle session).
     Deadline {
-        /// What timed out (`"flush"`, `"idle session"`, …).
+        /// What timed out (`"idle session"`).
         what: &'static str,
         /// The deadline that was exceeded.
         after: Duration,
@@ -70,8 +60,7 @@ impl ServeError {
             ServeError::Protocol(_) => "protocol",
             ServeError::Decode(_) => "decode",
             ServeError::Query(_) => "query",
-            ServeError::WorkerPanic(_) => "panic",
-            ServeError::Backpressure { .. } => "backpressure",
+            ServeError::Panic(_) => "panic",
             ServeError::Deadline { .. } => "deadline",
             ServeError::Unavailable(_) => "unavailable",
         }
@@ -97,12 +86,7 @@ impl fmt::Display for ServeError {
             | ServeError::Decode(m)
             | ServeError::Query(m)
             | ServeError::Unavailable(m) => f.write_str(m),
-            ServeError::WorkerPanic(m) => write!(f, "worker panicked: {m}"),
-            ServeError::Backpressure { shard, waited } => write!(
-                f,
-                "channel to shard {shard} full for {}ms",
-                waited.as_millis()
-            ),
+            ServeError::Panic(m) => write!(f, "session panicked: {m}"),
             ServeError::Deadline { what, after } => {
                 write!(f, "{what} missed its {}ms deadline", after.as_millis())
             }
@@ -144,22 +128,17 @@ mod tests {
 
     #[test]
     fn codes_are_stable_and_frames_carry_them() {
-        let e = ServeError::WorkerPanic("boom".into());
+        let e = ServeError::Panic("boom".into());
         assert_eq!(e.code(), "panic");
-        assert_eq!(e.to_frame(), b"panic: worker panicked: boom".to_vec());
-        let e = ServeError::Backpressure {
-            shard: 3,
-            waited: Duration::from_millis(250),
-        };
-        assert_eq!(e.code(), "backpressure");
-        assert!(String::from_utf8(e.to_frame()).unwrap().contains("shard 3"));
+        assert_eq!(e.to_frame(), b"panic: session panicked: boom".to_vec());
         let e = ServeError::Deadline {
-            what: "flush",
+            what: "idle session",
             after: Duration::from_millis(10),
         };
-        assert!(String::from_utf8(e.to_frame())
-            .unwrap()
-            .starts_with("deadline: flush"));
+        assert_eq!(
+            e.to_frame(),
+            b"deadline: idle session missed its 10ms deadline".to_vec()
+        );
     }
 
     #[test]

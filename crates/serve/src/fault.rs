@@ -2,11 +2,11 @@
 //!
 //! A [`FaultPlan`] is a small list of *one-shot triggers*, each naming
 //! an injection **site**, an occurrence **count** and an **action**.
-//! The sites are compiled into the pipeline and the session loop —
-//! always present, free when the plan is empty — so a chaos run and a
-//! production run execute the same code. Plans are built from a spec
-//! string (the `csst-serve --faults` flag or the `CSST_FAULTS`
-//! environment variable):
+//! The sites are compiled into the session loop — always present,
+//! free when the plan is empty — so a chaos run and a production run
+//! execute the same code. Plans are built from a spec string (the
+//! `csst-serve --faults` flag or the `CSST_FAULTS` environment
+//! variable):
 //!
 //! ```text
 //! panic-events=<n>             the session panics before feeding the <n>th EVENTS
@@ -14,17 +14,8 @@
 //! corrupt-events=<n>           the <n>th EVENTS payload is corrupted (seeded byte
 //!                              flip + clobbered record header)
 //! reset-conn=<n>               the connection is reset after <n> frames are read
-//! panic-worker=<slot>@<n>      ShardedHb worker <slot> panics on its <n>th message
-//! delay-send=<slot>@<n>:<ms>   the <n>th batch sent to ShardedHb shard <slot> is
-//!                              delayed <ms> ms
-//! drop-send=<slot>@<n>         the <n>th batch sent to ShardedHb shard <slot> is dropped
 //! seed=<s>                     xorshift seed for the corrupt-byte choice
 //! ```
-//!
-//! `panic-events`, `corrupt-events` and `reset-conn` fire in
-//! `csst-serve` sessions. `panic-worker`, `delay-send` and `drop-send`
-//! fire only inside the library [`ShardedHb`](crate::ShardedHb)
-//! pipeline, which no session runs; its unit tests use them.
 //!
 //! Items are comma-separated; counts are 1-based and server-wide (the
 //! `<n>`th EVENTS frame counts frames of every session). Every trigger
@@ -35,15 +26,10 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Injection sites (see the [module docs](self) for the spec syntax).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Site {
-    /// One message processed by hb shard worker `slot`.
-    WorkerMsg(usize),
-    /// One batch send to shard `slot`'s channel.
-    Send(usize),
     /// One EVENTS frame payload about to be decoded.
     EventsFrame,
     /// One frame read off a session socket.
@@ -53,12 +39,8 @@ pub enum Site {
 /// What a fired trigger does at its site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action {
-    /// Panic the current thread (`panic-worker`/`panic-events`).
+    /// Panic the session thread (`panic-events`).
     Panic,
-    /// Sleep before proceeding (`delay-send`).
-    Delay(Duration),
-    /// Silently drop the message (`drop-send`).
-    Drop,
     /// Flip one seeded byte of the payload (`corrupt-events`).
     Corrupt,
     /// Reset the connection (`reset-conn`).
@@ -144,29 +126,7 @@ impl FaultPlan {
             let parse_at = |s: &str| -> Result<u64, String> {
                 s.parse::<u64>().ok().filter(|&n| n > 0).ok_or_else(bad)
             };
-            let parse_slot_at = |s: &str| -> Result<(usize, u64), String> {
-                let (slot, at) = s.split_once('@').ok_or_else(bad)?;
-                Ok((slot.parse::<usize>().map_err(|_| bad())?, parse_at(at)?))
-            };
             let (site, at, action) = match key {
-                "panic-worker" => {
-                    let (slot, at) = parse_slot_at(value)?;
-                    (Site::WorkerMsg(slot), at, Action::Panic)
-                }
-                "drop-send" => {
-                    let (slot, at) = parse_slot_at(value)?;
-                    (Site::Send(slot), at, Action::Drop)
-                }
-                "delay-send" => {
-                    let (head, ms) = value.rsplit_once(':').ok_or_else(bad)?;
-                    let (slot, at) = parse_slot_at(head)?;
-                    let ms = ms.parse::<u64>().map_err(|_| bad())?;
-                    (
-                        Site::Send(slot),
-                        at,
-                        Action::Delay(Duration::from_millis(ms)),
-                    )
-                }
                 "panic-events" => (Site::EventsFrame, parse_at(value)?, Action::Panic),
                 "corrupt-events" => (Site::EventsFrame, parse_at(value)?, Action::Corrupt),
                 "reset-conn" => (Site::FrameRead, parse_at(value)?, Action::Reset),
@@ -209,27 +169,6 @@ impl FaultPlan {
             }
         }
         fired
-    }
-
-    /// [`Site::WorkerMsg`] helper: panics with a recognizable message
-    /// when the trigger fires.
-    pub fn on_worker_msg(&self, slot: usize) {
-        if self.fire(Site::WorkerMsg(slot)) == Some(Action::Panic) {
-            panic!("injected fault: shard worker {slot} panic");
-        }
-    }
-
-    /// [`Site::Send`] helper: applies a delay in place and reports
-    /// whether the batch must be dropped.
-    pub fn on_send(&self, slot: usize) -> bool {
-        match self.fire(Site::Send(slot)) {
-            Some(Action::Delay(d)) => {
-                std::thread::sleep(d);
-                false
-            }
-            Some(Action::Drop) => true,
-            _ => false,
-        }
     }
 
     /// [`Site::EventsFrame`] helper: panics (`panic-events`) or
@@ -277,35 +216,24 @@ mod tests {
 
     #[test]
     fn parse_grammar_and_one_shot_firing() {
-        let plan = FaultPlan::parse(
-            "panic-worker=1@3, drop-send=0@2, delay-send=2@1:5, corrupt-events=2, \
-             reset-conn=4, seed=42",
-        )
-        .unwrap();
+        let plan = FaultPlan::parse("corrupt-events=2, reset-conn=4, seed=42").unwrap();
         assert!(!plan.is_empty());
-        // panic-worker=1@3: third message on slot 1, exactly once.
-        assert_eq!(plan.fire(Site::WorkerMsg(0)), None);
-        assert_eq!(plan.fire(Site::WorkerMsg(1)), None);
-        assert_eq!(plan.fire(Site::WorkerMsg(1)), None);
-        assert_eq!(plan.fire(Site::WorkerMsg(1)), Some(Action::Panic));
-        assert_eq!(plan.fire(Site::WorkerMsg(1)), None, "one-shot");
-        // Clones share trigger state.
+        // corrupt-events=2: second frame only; clones share trigger
+        // state.
         let clone = plan.clone();
-        assert!(!clone.on_send(2), "delay fires on first send");
-        assert_eq!(plan.fire(Site::Send(0)), None);
-        assert!(plan.on_send(0), "drop fires on second send");
-        // corrupt-events=2: second frame only.
         let mut payload = vec![1, 2, 3, 4];
-        assert!(!plan.on_events_frame(&mut payload));
+        assert!(!clone.on_events_frame(&mut payload));
         assert_eq!(payload, vec![1, 2, 3, 4]);
         assert!(plan.on_events_frame(&mut payload));
         assert_ne!(payload, vec![1, 2, 3, 4]);
+        assert!(!clone.on_events_frame(&mut payload), "one-shot");
         // reset-conn=4.
         for _ in 0..3 {
             assert!(!plan.on_frame_read());
         }
         assert!(plan.on_frame_read());
         assert!(!plan.on_frame_read());
+        assert_eq!(plan.fired(), 2);
         // panic-events=2: the second EVENTS frame panics.
         let plan = FaultPlan::parse("panic-events=2").unwrap();
         assert_eq!(plan.fire(Site::EventsFrame), None);
@@ -328,17 +256,19 @@ mod tests {
     #[test]
     fn malformed_specs_are_rejected() {
         for bad in [
-            "panic-worker",
-            "panic-worker=1",
-            "panic-worker=x@1",
-            "panic-worker=1@0",
+            "panic-events",
             "panic-events=0",
             "panic-events=1@1",
-            "delay-send=1@2",
+            "reset-conn=x",
             "frobnicate=1@2",
             "seed=xyz",
         ] {
             assert!(FaultPlan::parse(bad).is_err(), "`{bad}` must not parse");
+        }
+        // Kinds with no injection site are refused.
+        for retired in ["panic-worker=0@1", "delay-send=0@1:5", "drop-send=0@1"] {
+            let err = FaultPlan::parse(retired).unwrap_err();
+            assert!(err.starts_with("unknown fault kind"), "{retired}: {err}");
         }
         assert!(FaultPlan::parse("").unwrap().is_empty());
         assert!(FaultPlan::parse(" , ").unwrap().is_empty());
@@ -348,8 +278,7 @@ mod tests {
     fn empty_plan_is_free_of_actions() {
         let plan = FaultPlan::none();
         assert!(plan.is_empty());
-        assert_eq!(plan.fire(Site::WorkerMsg(0)), None);
-        assert!(!plan.on_send(0));
+        assert_eq!(plan.fire(Site::EventsFrame), None);
         assert!(!plan.on_frame_read());
         let mut p = vec![9u8; 8];
         assert!(!plan.on_events_frame(&mut p));

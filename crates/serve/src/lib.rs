@@ -17,24 +17,20 @@
 //!   itself: what an analysis keeps is its own (hb keeps the index and
 //!   the access frontier; a windowed predictive analysis keeps at most
 //!   one window).
-//! * **Sharded hb pipeline** ([`shard`], [`hb`]) — [`ShardedHb`]
-//!   partitions hb's access probes across N workers that each repeat
-//!   every sync-edge insert; its reports are *bit-identical* to the
-//!   sequential detector's, pinned by unit tests here and property
-//!   tests in the workspace `tests/`. It never beat the sequential
-//!   detector on the hosts measured so far, so no session runs it; it
-//!   stays as a library type for the benchmarks.
 //! * **`csst-client`** ([`client`]) — the driver: stream a trace file
 //!   or a registry demo workload into a server, query it, fetch the
 //!   report, optionally cross-check against a local batch run.
 //! * **Fault containment** ([`error`], [`fault`]) — a [`ServeError`]
 //!   taxonomy replaces panics and unwraps throughout the subsystem;
-//!   `catch_unwind` boundaries at session threads and shard workers
-//!   keep any single-component failure contained to one session (a
-//!   structured ERROR frame) while the server and every other session
-//!   keep running. A deterministic, seeded [`FaultPlan`] injection
-//!   layer (env/flag-driven) exercises those boundaries in
-//!   `scripts/fault_smoke.sh` and the `faults` integration tests.
+//!   a `catch_unwind` boundary at every session thread keeps a failure
+//!   contained to its session (a structured ERROR frame) while the
+//!   server and every other session keep running. A deterministic,
+//!   seeded [`FaultPlan`] injection layer (env/flag-driven) exercises
+//!   those boundaries in `scripts/fault_smoke.sh` and the `faults`
+//!   integration tests.
+//! * **The hb forwarder** ([`hb`]) — a forwarder to the sequential
+//!   [`HbDetector`](csst_analyses::hb::HbDetector), kept only because
+//!   the end-to-end benchmark's traced hb pass calls it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,12 +41,10 @@ pub mod fault;
 pub mod hb;
 pub mod proto;
 pub mod server;
-pub mod shard;
 
 pub use client::Client;
 pub use error::ServeError;
 pub use fault::FaultPlan;
-pub use hb::{ShardedHb, ShardedHbReport};
+pub use hb::{ShardCfg, ShardedHb};
 pub use proto::{Hello, Report, WireFormat};
 pub use server::{Server, ServerCfg};
-pub use shard::ShardCfg;

@@ -20,8 +20,7 @@
 //! An ERROR payload is UTF-8 `<code>: <message>`, where `<code>` is the
 //! machine-readable failure class from
 //! [`ServeError::code`](crate::ServeError::code) (`io`, `protocol`,
-//! `decode`, `query`, `panic`, `backpressure`, `deadline`,
-//! `unavailable`). Every code except `query` is session-fatal: the
+//! `decode`, `query`, `panic`, `deadline`, `unavailable`). Every code except `query` is session-fatal: the
 //! server closes the session right after the frame (with a lingering
 //! drain so the frame actually arrives).
 //!
@@ -52,7 +51,7 @@ use std::io::{self, Read, Write};
 pub const T_HELLO: u8 = 0x01;
 /// Client→server: a chunk of trace events.
 pub const T_EVENTS: u8 = 0x02;
-/// Client→server: an online query against the merged prefix.
+/// Client→server: an online query against the events fed so far.
 pub const T_QUERY: u8 = 0x03;
 /// Client→server: end of stream, produce the report.
 pub const T_FINISH: u8 = 0x04;

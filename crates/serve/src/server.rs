@@ -468,7 +468,7 @@ fn session_thread<S: SessionStream>(stream: &mut S, cfg: &ServerCfg) -> bool {
     match catch_unwind(AssertUnwindSafe(|| handle_session(stream, cfg))) {
         Ok(shutdown) => shutdown,
         Err(payload) => {
-            let e = ServeError::WorkerPanic(panic_message(payload.as_ref()));
+            let e = ServeError::Panic(panic_message(payload.as_ref()));
             let _ = write_frame(stream, T_ERROR, &e.to_frame());
             drain_before_close(stream);
             false

@@ -5,9 +5,12 @@
 
 use csst_analyses::registry::{self, IndexKind};
 use csst_serve::proto::{
-    read_frame, write_frame, Hello, WireFormat, MAX_FRAME, T_ERROR, T_EVENTS, T_HELLO, T_OK,
+    read_frame, write_frame, Hello, Report, WireFormat, MAX_FRAME, T_ANSWER, T_ERROR, T_EVENTS,
+    T_FINISH, T_HELLO, T_OK, T_QUERY, T_REPORT,
 };
-use csst_serve::{Client, FaultPlan, Server, ServerCfg};
+use csst_serve::{Client, FaultPlan, ServeError, Server, ServerCfg};
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use std::io::Write;
 use std::net::TcpStream;
 
@@ -286,4 +289,197 @@ fn open_with_retry_waits_for_a_late_server() {
     Client::shutdown_server(&addr).expect("shutdown");
     server.join().unwrap().expect("server exits cleanly");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One client action of [`session_protocol_is_total_over_frame_orders`].
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Hello { valid: bool },
+    Events { valid: bool },
+    Query { known: bool },
+    Finish,
+    UnknownTag,
+    Oversized,
+    Truncated,
+}
+
+/// Draws one connection's script. FINISH and a truncated frame end it:
+/// the server closes the session after its REPORT, and a truncated
+/// frame is followed by EOF.
+fn draw_script(rng: &mut SmallRng) -> Vec<Step> {
+    let mut script = Vec::new();
+    for _ in 0..rng.gen_range(1..9) {
+        let step = match rng.gen_range(0..16) {
+            0..=3 => Step::Hello {
+                valid: rng.gen_bool(0.7),
+            },
+            4..=8 => Step::Events {
+                valid: rng.gen_bool(0.7),
+            },
+            9..=11 => Step::Query {
+                known: rng.gen_bool(0.6),
+            },
+            12 => Step::Finish,
+            13 => Step::UnknownTag,
+            14 => Step::Oversized,
+            _ => Step::Truncated,
+        };
+        script.push(step);
+        if matches!(step, Step::Finish | Step::Truncated) {
+            break;
+        }
+    }
+    script
+}
+
+/// The session protocol is total over frame *orders*: 64 connections,
+/// each a seeded random script of HELLOs (valid or not, possibly
+/// twice), EVENTS (valid or garbage, also before HELLO), QUERYs (known
+/// or not), FINISH, unknown tags, oversized length prefixes and
+/// truncated frames. Every reply is OK, ANSWER, REPORT or an ERROR
+/// with a [`ServeError::code`] other than `panic`, and a session-fatal
+/// ERROR is the last frame of its connection. An hb session opened
+/// before the run still reports byte for byte what the batch CLI does,
+/// and SHUTDOWN still stops the server cleanly.
+#[test]
+fn session_protocol_is_total_over_frame_orders() {
+    let (addr, handle) = spawn_server_with(ServerCfg::default());
+    let tcp = addr.strip_prefix("tcp:").unwrap();
+    let hb = registry::find("hb").unwrap();
+    let mut healthy = Client::open(&addr, &Hello::default()).expect("open healthy session");
+
+    let codes: Vec<&'static str> = [
+        ServeError::Io(std::io::Error::other("")),
+        ServeError::Protocol(String::new()),
+        ServeError::Decode(String::new()),
+        ServeError::Query(String::new()),
+        ServeError::Deadline {
+            what: "",
+            after: std::time::Duration::ZERO,
+        },
+        ServeError::Unavailable(String::new()),
+    ]
+    .iter()
+    .map(ServeError::code)
+    .collect();
+    let valid_hellos = [
+        Hello::default(),
+        Hello {
+            index: "vc".into(),
+            ..Hello::default()
+        },
+        Hello {
+            analysis: "race".into(),
+            window: Some(64),
+            ..Hello::default()
+        },
+    ];
+    let invalid_hellos: [&[u8]; 5] = [
+        b"analysis=nope",
+        b"index=quantum",
+        b"window=0",
+        b"no-equals-sign",
+        b"\xff\xfe",
+    ];
+    let events: Vec<_> = hb
+        .demo_trace()
+        .iter_order()
+        .map(|(id, ev)| (id.thread, ev.kind))
+        .collect();
+
+    let mut seen = std::collections::BTreeSet::new();
+    let mut rng = SmallRng::seed_from_u64(0x70_7A1);
+    for conn in 0..64 {
+        let script = draw_script(&mut rng);
+        let mut out = Vec::new();
+        let mut cursor = 0;
+        for &step in &script {
+            match step {
+                Step::Hello { valid: true } => {
+                    let hello = &valid_hellos[rng.gen_range(0..valid_hellos.len())];
+                    write_frame(&mut out, T_HELLO, &hello.encode()).unwrap();
+                }
+                Step::Hello { valid: false } => {
+                    let payload = invalid_hellos[rng.gen_range(0..invalid_hellos.len())];
+                    write_frame(&mut out, T_HELLO, payload).unwrap();
+                }
+                Step::Events { valid } => {
+                    // Valid frames continue the demo trace in order;
+                    // garbage ends in a record whose length field no
+                    // event kind has, so the decoder must refuse it.
+                    let n = rng.gen_range(1..48usize).min(events.len() - cursor);
+                    let mut payload = Vec::new();
+                    for &(thread, kind) in &events[cursor..cursor + n] {
+                        csst_trace::binary::encode_event(thread, &kind, &mut payload);
+                    }
+                    cursor += n;
+                    if !valid {
+                        payload.extend_from_slice(&[0xFF, 0xFF]);
+                        payload.extend_from_slice(&rng.gen::<u32>().to_le_bytes());
+                    }
+                    write_frame(&mut out, T_EVENTS, &payload).unwrap();
+                }
+                Step::Query { known } => {
+                    let q: &[u8] = if known { b"events" } else { b"frobnicate 1 2" };
+                    write_frame(&mut out, T_QUERY, q).unwrap();
+                }
+                Step::Finish => write_frame(&mut out, T_FINISH, b"").unwrap(),
+                Step::UnknownTag => {
+                    let tag = [0x00, 0x06, 0x77, T_OK, T_ERROR][rng.gen_range(0..5usize)];
+                    write_frame(&mut out, tag, b"payload").unwrap();
+                }
+                Step::Oversized => out.extend_from_slice(&(MAX_FRAME as u32 + 1).to_le_bytes()),
+                Step::Truncated => {
+                    let mut frame = Vec::new();
+                    write_frame(&mut frame, T_QUERY, b"events").unwrap();
+                    let cut = rng.gen_range(1..frame.len());
+                    out.extend_from_slice(&frame[..cut]);
+                }
+            }
+        }
+
+        let mut stream = TcpStream::connect(tcp).unwrap();
+        stream.write_all(&out).unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        let mut replies = Vec::new();
+        while let Some((tag, payload)) = read_frame(&mut stream)
+            .unwrap_or_else(|e| panic!("connection {conn} {script:?}: {e} after {replies:?}"))
+        {
+            replies.push((tag, String::from_utf8_lossy(&payload).into_owned()));
+        }
+        for (i, (tag, text)) in replies.iter().enumerate() {
+            let ctx = || format!("connection {conn} {script:?}: reply {i} of {replies:?}");
+            let class = match *tag {
+                T_OK => "OK",
+                T_ANSWER => "ANSWER",
+                T_REPORT => "REPORT",
+                T_ERROR => {
+                    let code = text.split(':').next().unwrap_or_default();
+                    let code = *codes
+                        .iter()
+                        .find(|&&c| c == code)
+                        .unwrap_or_else(|| panic!("unknown ERROR code: {}", ctx()));
+                    assert!(
+                        code == "query" || i + 1 == replies.len(),
+                        "a fatal ERROR must end the connection: {}",
+                        ctx()
+                    );
+                    code
+                }
+                _ => panic!("unknown reply tag {tag:#04x}: {}", ctx()),
+            };
+            seen.insert(class);
+        }
+    }
+    // The scripts reached every reply class the protocol has.
+    let want = ["ANSWER", "OK", "REPORT", "decode", "protocol", "query"];
+    assert_eq!(seen, want.into_iter().collect());
+
+    healthy.send_trace(&hb.demo_trace()).expect("send");
+    let report = healthy.finish().expect("healthy report");
+    let batch = Report::from(hb.run(&hb.demo_trace(), IndexKind::Csst, None).unwrap());
+    assert_eq!(report.encode(), batch.encode());
+
+    Client::shutdown_server(&addr).expect("shutdown");
+    handle.join().unwrap().expect("server exits cleanly");
 }
