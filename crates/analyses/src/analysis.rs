@@ -20,9 +20,9 @@
 //! * **Windowed** predictive analyses bound that buffer: with
 //!   `window: Some(n)` in their configuration, the stream is analyzed
 //!   as consecutive *tumbling* windows of `n` events, candidates are
-//!   emitted per window, and retirement removes the window's base-order
-//!   edges via [`csst_core::PartialOrderIndex::delete_edge`], so peak
-//!   buffered events never exceed `n`.
+//!   emitted per window, and retirement resets the base order to a
+//!   fresh index, dropping the window's edges, so peak buffered events
+//!   never exceed `n`.
 //!
 //! Every batch entry point (`predict`, `detect`, `check`, `generate`,
 //! `analyze`) is a thin wrapper that streams the given trace through

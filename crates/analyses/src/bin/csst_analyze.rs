@@ -14,15 +14,14 @@
 //! `csst_trace::rapid`.
 //!
 //! `--window N` bounds the predictive analyses' memory: the trace is
-//! analyzed as consecutive `N`-event windows, each window's base-order
-//! edges are retired through `delete_edge` (fully dynamic index
-//! required: `csst` or `graph`), and peak buffered events never exceed
-//! `N`. Windowing is *sound per window* — every report is witnessed
+//! analyzed as consecutive `N`-event windows, each window is retired by
+//! resetting its base order to a fresh index (sparse index required:
+//! `csst` or `graph`), and peak buffered events never exceed `N`. Windowing is *sound per window* — every report is witnessed
 //! within its own window — but reports spanning window boundaries are
 //! missed.
 //!
 //! `--index csst` puts each index on the CSST variant its traffic
-//! favours (see [`IndexKind::Csst`]): hb, windowed base orders and
+//! favours, windowed or not (see [`IndexKind::Csst`]): hb, c11 and
 //! linearizability run on the fully dynamic `Csst`; every other base
 //! order and every per-candidate witness closure on `IncrementalCsst`.
 //!
@@ -59,11 +58,11 @@ fn usage() -> ExitCode {
          --window N: bounded-memory mode — the trace is analyzed as consecutive\n\
          \x20   N-event windows (sound per window: reports never span a window\n\
          \x20   boundary and each is witnessed within its own window; reports\n\
-         \x20   beyond the window are missed). Needs a fully dynamic index\n\
-         \x20   (csst|graph), because window retirement deletes edges.\n\
-         --index csst: hb and every base order that deletes run the fully\n\
-         \x20   dynamic CSST; other base orders and all witness closures run\n\
-         \x20   the incremental CSST.",
+         \x20   beyond the window are missed). Needs a sparse index (csst|graph):\n\
+         \x20   st and vc size their storage by global position.\n\
+         --index csst: hb, c11 and linearizability run the fully dynamic\n\
+         \x20   CSST; other base orders and all witness closures run the\n\
+         \x20   incremental CSST.",
         names.join(" ")
     );
     ExitCode::from(2)

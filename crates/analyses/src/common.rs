@@ -4,8 +4,8 @@
 //! The centerpiece is [`BaseOrderBuilder`], the component every
 //! predictive analysis embeds to grow its *base order* incrementally
 //! while events are [fed](crate::Analysis::feed), and to bound its
-//! event buffer with a tumbling window whose retirement exercises the
-//! CSST deletion path ([`PartialOrderIndex::delete_edge`]).
+//! event buffer with a tumbling window whose retirement resets the
+//! base order to a fresh index.
 
 use csst_core::{NodeId, PartialOrderIndex, PoError, Pos, ThreadId};
 use csst_trace::{EventKind, Trace, VarId};
@@ -56,8 +56,8 @@ pub struct WindowStats {
     pub peak_buffered: usize,
     /// Events whose buffered bodies were dropped by retirement.
     pub retired_events: usize,
-    /// Edges removed from the base order via
-    /// [`PartialOrderIndex::delete_edge`] during retirement.
+    /// Edges the base order held when its windows were retired (each
+    /// retirement drops them all by resetting the index).
     pub deleted_edges: usize,
 }
 
@@ -75,7 +75,7 @@ pub struct WindowStats {
 ///   `membug` and `uaf`.
 /// * [`counting`](Self::counting) — no event bodies are stored at
 ///   all; the builder only assigns global [`NodeId`]s, tracks the
-///   window boundary and logs the edges the analysis inserts through
+///   window boundary and counts the edges the analysis inserts through
 ///   [`require_logged`](Self::require_logged) /
 ///   [`insert_logged`](Self::insert_logged). Used by the genuinely
 ///   online `c11` and by `tso` and `linearizability`, which buffer
@@ -88,13 +88,17 @@ pub struct WindowStats {
 /// With `window = Some(n)` the stream is cut into consecutive
 /// *tumbling* windows of `n` events. When a window fills, the analysis
 /// runs its per-window core over the buffered events and then calls
-/// [`retire_window`](Self::retire_window): every edge inserted for the
-/// window is removed from the index via `delete_edge`, the buffered
-/// event bodies are dropped, and the per-thread retirement offsets
-/// advance. Peak buffered events never exceed `n`, and the index's
-/// live edge set only ever spans one window. Events keep their
-/// *global* ids — chains grow monotonically — so reports from
-/// different windows are directly comparable.
+/// [`retire_window`](Self::retire_window): the base order drops every
+/// edge and keeps its chain lengths
+/// ([`PartialOrderIndex::clear_edges`]), the buffered event bodies are
+/// dropped, and the per-thread retirement offsets advance. Earlier
+/// windows' edges went at their own retirement, so the index holds
+/// only the current window's edges and the reset drops exactly those.
+/// Retirement therefore needs no [`PartialOrderIndex::delete_edge`],
+/// and insert-only indexes can be windowed. Peak buffered events never
+/// exceed `n`, and the index's edge set only ever spans one window.
+/// Events keep their *global* ids — chains grow monotonically — so
+/// reports from different windows are directly comparable.
 ///
 /// Constraints that would span a window boundary (a read observing a
 /// retired writer, a fork/join edge to a retired event) are dropped:
@@ -120,9 +124,8 @@ pub struct BaseOrderBuilder<P> {
     last_write: HashMap<VarId, NodeId>,
     /// Fork events whose child has not produced an event yet.
     pending_forks: HashMap<ThreadId, Vec<NodeId>>,
-    /// Edges inserted for the current window (global ids), to be
-    /// deleted at retirement.
-    window_edges: Vec<(NodeId, NodeId)>,
+    /// Edges inserted for the current window, dropped at retirement.
+    window_edges: usize,
     /// Reads-from edges actually inserted (the base-order statistic
     /// the predictive reports expose).
     base_inserted: usize,
@@ -131,25 +134,18 @@ pub struct BaseOrderBuilder<P> {
 
 impl<P: PartialOrderIndex> BaseOrderBuilder<P> {
     fn with_modes(window: Option<usize>, observation: bool, store_events: bool) -> Self {
-        let po = P::new();
-        let window = window.map(|n| n.max(1));
-        assert!(
-            window.is_none() || po.supports_deletion(),
-            "windowed retirement needs a fully dynamic index, not {}",
-            po.name()
-        );
         BaseOrderBuilder {
-            po,
+            po: P::new(),
             buf: Trace::new(0),
             counts: Vec::new(),
             retired: Vec::new(),
-            window,
+            window: window.map(|n| n.max(1)),
             in_window: 0,
             observation,
             store_events,
             last_write: HashMap::new(),
             pending_forks: HashMap::new(),
-            window_edges: Vec::new(),
+            window_edges: 0,
             base_inserted: 0,
             stats: WindowStats::default(),
         }
@@ -162,7 +158,7 @@ impl<P: PartialOrderIndex> BaseOrderBuilder<P> {
     }
 
     /// Builder that stores no event bodies: it only assigns global ids,
-    /// tracks the window boundary and logs edges.
+    /// tracks the window boundary and counts edges.
     pub fn counting(window: Option<usize>) -> Self {
         Self::with_modes(window, false, false)
     }
@@ -260,19 +256,19 @@ impl<P: PartialOrderIndex> BaseOrderBuilder<P> {
     fn log_require(&mut self, from: NodeId, to: NodeId) -> OrderOutcome {
         let out = require_order(&mut self.po, from, to);
         if out == OrderOutcome::Inserted {
-            self.window_edges.push((from, to));
+            self.window_edges += 1;
         }
         out
     }
 
-    /// Enforces `from → to` in the base order (global ids), logging the
+    /// Enforces `from → to` in the base order (global ids), counting the
     /// edge for retirement if it was inserted. The entry point for
     /// analyses that maintain their own edge structure.
     pub fn require_logged(&mut self, from: NodeId, to: NodeId) -> OrderOutcome {
         self.log_require(from, to)
     }
 
-    /// Inserts `from → to` unconditionally (global ids), logging it for
+    /// Inserts `from → to` unconditionally (global ids), counting it for
     /// retirement.
     ///
     /// # Errors
@@ -280,26 +276,26 @@ impl<P: PartialOrderIndex> BaseOrderBuilder<P> {
     /// Propagates [`PartialOrderIndex::insert_edge`] validation errors.
     pub fn insert_logged(&mut self, from: NodeId, to: NodeId) -> Result<(), PoError> {
         self.po.insert_edge(from, to)?;
-        self.window_edges.push((from, to));
+        self.window_edges += 1;
         Ok(())
     }
 
     /// Inserts `from → to` unless it would close a cycle (global ids),
-    /// logging it for retirement.
+    /// counting it for retirement.
     ///
     /// # Errors
     ///
     /// Propagates [`PartialOrderIndex::insert_edge_checked`] errors.
     pub fn insert_logged_checked(&mut self, from: NodeId, to: NodeId) -> Result<(), PoError> {
         self.po.insert_edge_checked(from, to)?;
-        self.window_edges.push((from, to));
+        self.window_edges += 1;
         Ok(())
     }
 
     /// Inserts a batch of edges (global ids) through the amortized
-    /// [`PartialOrderIndex::insert_edges`] path, logging every edge for
+    /// [`PartialOrderIndex::insert_edges`] path, counting every edge for
     /// retirement. The batch is applied atomically: on a validation
-    /// error nothing is inserted or logged.
+    /// error nothing is inserted or counted.
     ///
     /// Like `insert_edges`, there is no cycle check — callers batch
     /// edge sets that are acyclic by construction (e.g. all edges
@@ -311,7 +307,7 @@ impl<P: PartialOrderIndex> BaseOrderBuilder<P> {
     /// errors.
     pub fn insert_batch_logged(&mut self, edges: &[(NodeId, NodeId)]) -> Result<(), PoError> {
         self.po.insert_edges(edges)?;
-        self.window_edges.extend_from_slice(edges);
+        self.window_edges += edges.len();
         Ok(())
     }
 
@@ -321,17 +317,12 @@ impl<P: PartialOrderIndex> BaseOrderBuilder<P> {
         self.window.is_some_and(|n| self.in_window >= n)
     }
 
-    /// Retires the current window: deletes every logged edge from the
-    /// index (the CSST deletion path), drops the buffered event bodies
-    /// and advances the retirement offsets.
+    /// Retires the current window: drops every edge of the base order
+    /// ([`PartialOrderIndex::clear_edges`]), drops the buffered event
+    /// bodies and advances the retirement offsets.
     pub fn retire_window(&mut self) {
-        let edges = std::mem::take(&mut self.window_edges);
-        self.stats.deleted_edges += edges.len();
-        for (from, to) in edges {
-            self.po
-                .delete_edge(from, to)
-                .expect("every logged edge is present and deletable");
-        }
+        self.stats.deleted_edges += std::mem::take(&mut self.window_edges);
+        self.po.clear_edges();
         self.stats.windows += 1;
         self.stats.retired_events += self.in_window;
         self.in_window = 0;
@@ -398,8 +389,8 @@ impl<P: PartialOrderIndex> BaseOrderBuilder<P> {
 
     /// Mutable access to the base order for queries and *unlogged*
     /// structural growth. Edges inserted through this reference are
-    /// **not** retired; analyses must use the `*_logged` methods for
-    /// anything that must be deleted when the window closes.
+    /// not counted, but retirement drops them like any other; analyses
+    /// use the `*_logged` methods for a window's edges.
     pub fn po_mut(&mut self) -> &mut P {
         &mut self.po
     }
@@ -415,12 +406,12 @@ impl<P: PartialOrderIndex> BaseOrderBuilder<P> {
 /// so analysis cores written against window-local event ids (the ids of
 /// the buffered trace) can query — and, for saturation, extend — the
 /// incrementally built base order directly. Edges inserted through the
-/// view are logged for retirement like any other window edge.
+/// view are counted for retirement like any other window edge.
 #[derive(Debug)]
 pub struct WindowIndex<'a, P> {
     po: &'a mut P,
     retired: &'a [Pos],
-    window_edges: &'a mut Vec<(NodeId, NodeId)>,
+    window_edges: &'a mut usize,
 }
 
 impl<P: PartialOrderIndex> WindowIndex<'_, P> {
@@ -462,17 +453,15 @@ impl<P: PartialOrderIndex> PartialOrderIndex for WindowIndex<'_, P> {
     }
 
     fn insert_edge_raw(&mut self, from: NodeId, to: NodeId) {
-        let (from, to) = (self.to_global(from), self.to_global(to));
-        self.window_edges.push((from, to));
-        self.po.insert_edge_raw(from, to);
+        *self.window_edges += 1;
+        self.po
+            .insert_edge_raw(self.to_global(from), self.to_global(to));
     }
 
     fn delete_edge_raw(&mut self, from: NodeId, to: NodeId) -> Result<(), PoError> {
-        let (from, to) = (self.to_global(from), self.to_global(to));
-        self.po.delete_edge_raw(from, to)?;
-        if let Some(i) = self.window_edges.iter().position(|&e| e == (from, to)) {
-            self.window_edges.swap_remove(i);
-        }
+        self.po
+            .delete_edge_raw(self.to_global(from), self.to_global(to))?;
+        *self.window_edges -= 1;
         Ok(())
     }
 
@@ -611,6 +600,42 @@ mod tests {
     }
 
     #[test]
+    fn retirement_resets_an_insert_only_base_order() {
+        let trace = csst_trace::gen::racy_program(&csst_trace::gen::RacyProgramCfg {
+            threads: 4,
+            events_per_thread: 80,
+            shared_frac: 0.6,
+            ..Default::default()
+        });
+        let mut builder = BaseOrderBuilder::<IncrementalCsst>::observing(Some(37));
+        let mut checked = 0;
+        for (id, ev) in trace.iter_order() {
+            builder.feed(id.thread, ev.kind);
+            if !builder.window_full() {
+                continue;
+            }
+            builder.retire_window();
+            checked += 1;
+            let po = builder.po();
+            let fresh = IncrementalCsst::new();
+            for a in (0..po.chains() as u32).map(ThreadId) {
+                assert_eq!(po.chain_len(a), builder.counts[a.index()] as usize);
+                for u in (0..po.chain_len(a) as u32).map(|i| NodeId::new(a, i)) {
+                    for b in (0..po.chains() as u32).map(ThreadId).filter(|&b| b != a) {
+                        assert_eq!(po.successor(u, b), fresh.successor(u, b), "{u} → {b:?}");
+                        assert_eq!(po.predecessor(u, b), fresh.predecessor(u, b));
+                        for v in (0..po.chain_len(b) as u32).map(|i| NodeId::new(b, i)) {
+                            assert_eq!(po.reachable(u, v), fresh.reachable(u, v), "{u} → {v}");
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, builder.stats().windows);
+        assert!(checked >= 8 && builder.stats().deleted_edges > 0);
+    }
+
+    #[test]
     fn window_index_hides_retired_answers() {
         // Global picture: chain 0's first 3 positions are retired;
         // stale base-order edges still land on them.
@@ -620,7 +645,7 @@ mod tests {
         po.insert_edge(NodeId::new(1, 2), NodeId::new(0, 3))
             .unwrap(); // lands exactly on the boundary
         let retired = vec![3, 0];
-        let mut edges = vec![];
+        let mut edges = 0;
         let win = WindowIndex {
             po: &mut po,
             retired: &retired,

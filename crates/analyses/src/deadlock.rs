@@ -39,7 +39,6 @@ use crate::Analysis;
 use csst_core::{NodeId, PartialOrderIndex, ThreadId};
 use csst_trace::{EventKind, LockId, Trace};
 use std::collections::{HashMap, HashSet};
-use std::marker::PhantomData;
 
 /// One nested acquisition: thread holds `outer` (acquired at
 /// `outer_acq`) while acquiring `inner` at `inner_acq`.
@@ -128,19 +127,18 @@ pub fn nestings(trace: &Trace) -> Vec<Nesting> {
 /// checks run over the buffered events at `finish` — or per window when
 /// [`DeadlockCfg::window`] bounds the buffer.
 ///
-/// `P` holds the base order; each witness closure is a fresh,
-/// insert-only `W` (by default `P` itself).
+/// `P` is the type of the base order and of each witness closure (a
+/// fresh insert-only index per candidate).
 #[derive(Debug)]
-pub struct DeadlockPredictor<P, W = P> {
+pub struct DeadlockPredictor<P> {
     cfg: DeadlockCfg,
     builder: BaseOrderBuilder<P>,
     patterns: usize,
     deadlocks: Vec<Deadlock>,
     reported: HashSet<(NodeId, NodeId)>,
-    witness: PhantomData<fn() -> W>,
 }
 
-impl<P: PartialOrderIndex, W: PartialOrderIndex> DeadlockPredictor<P, W> {
+impl<P: PartialOrderIndex> DeadlockPredictor<P> {
     fn analyze_window(&mut self) {
         let (trace, win) = self.builder.split();
         if trace.total_events() == 0 {
@@ -185,8 +183,7 @@ impl<P: PartialOrderIndex, W: PartialOrderIndex> DeadlockPredictor<P, W> {
                     }
                     self.patterns += 1;
                     let key = (win.to_global(a.inner_acq), win.to_global(b.inner_acq));
-                    if witness::<_, W>(&win, &ctx, &self.cfg.saturation, a, b)
-                        && self.reported.insert(key)
+                    if witness(&win, &ctx, &self.cfg.saturation, a, b) && self.reported.insert(key)
                     {
                         self.deadlocks.push(Deadlock {
                             first: globalize(&win, a),
@@ -199,7 +196,7 @@ impl<P: PartialOrderIndex, W: PartialOrderIndex> DeadlockPredictor<P, W> {
     }
 }
 
-impl<P: PartialOrderIndex, W: PartialOrderIndex> Analysis for DeadlockPredictor<P, W> {
+impl<P: PartialOrderIndex> Analysis for DeadlockPredictor<P> {
     type Cfg = DeadlockCfg;
     type Report = DeadlockReport<P>;
 
@@ -210,7 +207,6 @@ impl<P: PartialOrderIndex, W: PartialOrderIndex> Analysis for DeadlockPredictor<
             patterns: 0,
             deadlocks: Vec::new(),
             reported: HashSet::new(),
-            witness: PhantomData,
         }
     }
 
@@ -272,9 +268,9 @@ fn guarded(trace: &Trace, a: &Nesting, b: &Nesting) -> bool {
 /// section open (the thread holds the lock the other thread requests),
 /// so the open-section rules of [`witness_co_enabled`] enforce the
 /// deadlock semantics. `base` filters ordered pairs; the fresh witness
-/// index is built over `W`.
-fn witness<B: PartialOrderIndex, W: PartialOrderIndex>(
-    base: &B,
+/// index is built over `P`.
+fn witness<P: PartialOrderIndex>(
+    base: &WindowIndex<'_, P>,
     ctx: &ClosureCtx<'_>,
     sat: &SaturationCfg,
     a: &Nesting,
@@ -284,7 +280,7 @@ fn witness<B: PartialOrderIndex, W: PartialOrderIndex>(
     if base.reachable(a.inner_acq, b.outer_acq) || base.reachable(b.inner_acq, a.outer_acq) {
         return false;
     }
-    witness_co_enabled::<W>(ctx, sat, &[a.inner_acq, b.inner_acq])
+    witness_co_enabled::<P>(ctx, sat, &[a.inner_acq, b.inner_acq])
 }
 
 #[cfg(test)]

@@ -29,8 +29,8 @@
 //! build their **base order** incrementally inside `feed` through the
 //! shared [`BaseOrderBuilder`], and accept a `window` in their
 //! configuration that bounds buffered events to tumbling windows whose
-//! retirement deletes the window's edges (the CSST deletion path) —
-//! see the [`Analysis`] docs for the windowing soundness contract. The
+//! retirement resets the base order to a fresh index — see the
+//! [`Analysis`] docs for the windowing soundness contract. The
 //! [`registry`] maps analysis names to runnable entries so front ends
 //! select analyses (and windows) by string instead of hard-coded match
 //! arms.

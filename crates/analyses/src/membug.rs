@@ -35,7 +35,6 @@ use crate::Analysis;
 use csst_core::{NodeId, PartialOrderIndex, ThreadId};
 use csst_trace::{EventKind, ObjId, Trace};
 use std::collections::HashMap;
-use std::marker::PhantomData;
 
 /// A predicted memory bug.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,18 +100,17 @@ pub struct MemBugReport<P> {
 /// over the buffered events at `finish` — or per window when
 /// [`MemBugCfg::window`] bounds the buffer.
 ///
-/// `P` holds the base order; each witness closure is a fresh,
-/// insert-only `W` (by default `P` itself).
+/// `P` is the type of the base order and of each witness closure (a
+/// fresh insert-only index per candidate).
 #[derive(Debug)]
-pub struct MemBugPredictor<P, W = P> {
+pub struct MemBugPredictor<P> {
     cfg: MemBugCfg,
     builder: BaseOrderBuilder<P>,
     candidates: usize,
     bugs: Vec<MemBug>,
-    witness: PhantomData<fn() -> W>,
 }
 
-impl<P: PartialOrderIndex, W: PartialOrderIndex> MemBugPredictor<P, W> {
+impl<P: PartialOrderIndex> MemBugPredictor<P> {
     fn analyze_window(&mut self) {
         let (trace, win) = self.builder.split();
         if trace.total_events() == 0 {
@@ -174,7 +172,7 @@ impl<P: PartialOrderIndex, W: PartialOrderIndex> MemBugPredictor<P, W> {
                         continue;
                     }
                     self.candidates += 1;
-                    if witness_co_enabled::<W>(&ctx, &self.cfg.saturation, &[u, f]) {
+                    if witness_co_enabled::<P>(&ctx, &self.cfg.saturation, &[u, f]) {
                         self.bugs.push(MemBug::UseAfterFree {
                             obj,
                             use_event: win.to_global(u),
@@ -213,7 +211,7 @@ impl<P: PartialOrderIndex, W: PartialOrderIndex> MemBugPredictor<P, W> {
     }
 }
 
-impl<P: PartialOrderIndex, W: PartialOrderIndex> Analysis for MemBugPredictor<P, W> {
+impl<P: PartialOrderIndex> Analysis for MemBugPredictor<P> {
     type Cfg = MemBugCfg;
     type Report = MemBugReport<P>;
 
@@ -223,7 +221,6 @@ impl<P: PartialOrderIndex, W: PartialOrderIndex> Analysis for MemBugPredictor<P,
             cfg,
             candidates: 0,
             bugs: Vec::new(),
-            witness: PhantomData,
         }
     }
 

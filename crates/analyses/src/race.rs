@@ -42,7 +42,6 @@ use crate::Analysis;
 use csst_core::{NodeId, PartialOrderIndex, ThreadId};
 use csst_trace::{EventKind, Trace, VarId};
 use std::collections::HashMap;
-use std::marker::PhantomData;
 
 /// Configuration of [`predict`].
 #[derive(Debug, Clone)]
@@ -170,19 +169,17 @@ fn select_candidates<P: PartialOrderIndex>(
 /// events at `finish` — or per window when [`RaceCfg::window`] bounds
 /// the buffer.
 ///
-/// `P` holds the base order; each witness closure is a fresh,
-/// insert-only `W` (by default `P` itself). A windowed base order must
-/// delete, while witness closures never do, so the two may differ.
+/// `P` is the type of the base order and of each witness closure (a
+/// fresh insert-only index per candidate).
 #[derive(Debug)]
-pub struct RacePredictor<P, W = P> {
+pub struct RacePredictor<P> {
     cfg: RaceCfg,
     builder: BaseOrderBuilder<P>,
     races: Vec<(NodeId, NodeId)>,
     candidates: usize,
-    witness: PhantomData<fn() -> W>,
 }
 
-impl<P: PartialOrderIndex, W: PartialOrderIndex> RacePredictor<P, W> {
+impl<P: PartialOrderIndex> RacePredictor<P> {
     /// Races predicted so far: those of completed windows (none before
     /// [`finish`](Analysis::finish) when unwindowed), in report order.
     pub fn races_so_far(&self) -> &[(NodeId, NodeId)] {
@@ -205,14 +202,14 @@ impl<P: PartialOrderIndex, W: PartialOrderIndex> RacePredictor<P, W> {
         let ctx = ClosureCtx::new(trace, None);
         for &(e1, e2) in &checked {
             self.candidates += 1;
-            if witness_co_enabled::<W>(&ctx, &self.cfg.saturation, &[e1, e2]) {
+            if witness_co_enabled::<P>(&ctx, &self.cfg.saturation, &[e1, e2]) {
                 self.races.push((win.to_global(e1), win.to_global(e2)));
             }
         }
     }
 }
 
-impl<P: PartialOrderIndex, W: PartialOrderIndex> Analysis for RacePredictor<P, W> {
+impl<P: PartialOrderIndex> Analysis for RacePredictor<P> {
     type Cfg = RaceCfg;
     type Report = RaceReport<P>;
 
@@ -222,7 +219,6 @@ impl<P: PartialOrderIndex, W: PartialOrderIndex> Analysis for RacePredictor<P, W
             cfg,
             races: Vec::new(),
             candidates: 0,
-            witness: PhantomData,
         }
     }
 

@@ -16,9 +16,10 @@
 //!
 //! Sessions take an optional **window** (the `--window N` of the CLI):
 //! predictive analyses then bound their event buffer to `N`-event
-//! tumbling windows, retiring each window's base-order edges through
-//! `delete_edge` — which is why windowed runs are restricted to the
-//! fully dynamic representations (`csst`, `graph`). See the
+//! tumbling windows, retiring each window by resetting its base order
+//! to a fresh index. Windowed runs take the sparse representations
+//! (`csst`, `graph`): the dense ones size their storage by global
+//! position, so a window would not bound their memory. See the
 //! [`crate::Analysis`] soundness contract.
 
 use crate::{c11, deadlock, hb, linearizability, membug, race, tso, uaf, Analysis};
@@ -31,13 +32,13 @@ use csst_trace::{gen, EventKind, Trace};
 /// Index representation selected by name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IndexKind {
-    /// CSSTs (`csst`), each index on the variant its traffic favours.
-    /// The fully dynamic [`Csst`] (cheap inserts, a fixpoint per
-    /// query) holds hb's append-heavy order and every base order that
-    /// deletes: windowed runs and linearizability. The
+    /// CSSTs (`csst`), each index on the variant its traffic favours,
+    /// windowed or not. The fully dynamic [`Csst`] (cheap inserts, a
+    /// fixpoint per query) holds the append-heavy orders of hb and
+    /// c11 and linearizability's base order, which deletes. The
     /// [`IncrementalCsst`] (stored closure, one suffix minimum per
-    /// query) holds the other unwindowed base orders and every
-    /// per-candidate witness closure, which is insert-only.
+    /// query) holds every other base order and every per-candidate
+    /// witness closure, which are insert-only.
     Csst,
     /// Dense segment trees (`st`).
     SegTree,
@@ -130,8 +131,8 @@ impl AnalysisEntry {
     /// # Errors
     ///
     /// A human-readable message when the representation does not fit
-    /// the analysis (e.g. linearizability and windowed runs need edge
-    /// deletion) or when the analysis does not support windowing.
+    /// the analysis (linearizability needs edge deletion, windowed runs
+    /// a sparse index) or when the analysis does not support windowing.
     pub fn open(
         &self,
         index: IndexKind,
@@ -248,45 +249,35 @@ fn open<A: Served + 'static>(cfg: A::Cfg) -> Box<dyn Session> {
 
 /// Opens a session of analysis `A<…>` with configuration `Cfg { window,
 /// ..Default::default() }` (or an explicit `cfg: expr`), choosing the
-/// index types from `index` and `window`: the one place that maps a
-/// representation name to types. Windowed runs take only the fully
-/// dynamic representations (`csst` → [`Csst`], `graph`), because
-/// retirement deletes edges. Unwindowed `csst` is [`IncrementalCsst`]
-/// for `A<P>` and `A<P, W>`, and [`Csst`] for `A<Csst>` (hb's
-/// append-heavy order, linearizability's deletes). In `A<P, W>` the
-/// insert-only witness closures `W` equal the base order `P` except on
-/// windowed `csst`, where they run on [`IncrementalCsst`].
+/// index type from `index` and `window`: the one place that maps a
+/// representation name to a type. `csst` is [`IncrementalCsst`] for
+/// `A<P>` and [`Csst`] for `A<Csst>` (the append-heavy hb and c11
+/// orders, linearizability's deletes), windowed or not. Windowed runs
+/// refuse the dense representations (`st`, `vc`): their storage is
+/// sized by global position, so a window would not bound it.
 macro_rules! streaming_dispatch {
-    ($index:expr, $window:expr, $($a:ident)::+<$($p:ident),+>, $($cfg:ident)::+) => {
-        streaming_dispatch!($index, $window, $($a)::+<$($p),+>,
+    ($index:expr, $window:expr, $($a:ident)::+<$p:ident>, $($cfg:ident)::+) => {
+        streaming_dispatch!($index, $window, $($a)::+<$p>,
             cfg: $($cfg)::+ { window: $window, ..Default::default() })
-    };
-    ($index:expr, $window:expr, $($a:ident)::+<P, W>, cfg: $cfg:expr) => {
-        streaming_dispatch!(@open $index, $window, $cfg,
-            $($a)::+<IncrementalCsst, IncrementalCsst>, $($a)::+<Csst, IncrementalCsst>,
-            $($a)::+<SegTreeIndex, SegTreeIndex>, $($a)::+<VectorClockIndex, VectorClockIndex>,
-            $($a)::+<GraphIndex, GraphIndex>)
     };
     ($index:expr, $window:expr, $($a:ident)::+<P>, cfg: $cfg:expr) => {
         streaming_dispatch!(@open $index, $window, $cfg,
-            $($a)::+<IncrementalCsst>, $($a)::+<Csst>, $($a)::+<SegTreeIndex>,
+            $($a)::+<IncrementalCsst>, $($a)::+<SegTreeIndex>,
             $($a)::+<VectorClockIndex>, $($a)::+<GraphIndex>)
     };
     ($index:expr, $window:expr, $($a:ident)::+<Csst>, cfg: $cfg:expr) => {
         streaming_dispatch!(@open $index, $window, $cfg,
-            $($a)::+<Csst>, $($a)::+<Csst>, $($a)::+<SegTreeIndex>,
+            $($a)::+<Csst>, $($a)::+<SegTreeIndex>,
             $($a)::+<VectorClockIndex>, $($a)::+<GraphIndex>)
     };
-    (@open $index:expr, $window:expr, $cfg:expr,
-        $csst:ty, $windowed_csst:ty, $st:ty, $vc:ty, $graph:ty) => {
+    (@open $index:expr, $window:expr, $cfg:expr, $csst:ty, $st:ty, $vc:ty, $graph:ty) => {
         match ($window, $index) {
-            (None, IndexKind::Csst) => Ok(open::<$csst>($cfg)),
+            (_, IndexKind::Csst) => Ok(open::<$csst>($cfg)),
+            (_, IndexKind::Graph) => Ok(open::<$graph>($cfg)),
             (None, IndexKind::SegTree) => Ok(open::<$st>($cfg)),
             (None, IndexKind::VectorClock) => Ok(open::<$vc>($cfg)),
-            (_, IndexKind::Graph) => Ok(open::<$graph>($cfg)),
-            (Some(_), IndexKind::Csst) => Ok(open::<$windowed_csst>($cfg)),
             (Some(_), other) => Err(format!(
-                "--window retires edges and needs a fully dynamic index (csst|graph), got `{}`",
+                "--window needs a sparse index (csst|graph); `{}` sizes its storage by global position, so a window would not bound its memory",
                 other.name()
             )),
         }
@@ -298,9 +289,7 @@ static ENTRIES: [AnalysisEntry; 8] = [
         name: "race",
         description: "M2-style data race prediction (Table 1)",
         open: |index, window| {
-            streaming_dispatch!(
-                index, window, race::RacePredictor<P, W>, race::RaceCfg
-            )
+            streaming_dispatch!(index, window, race::RacePredictor<P>, race::RaceCfg)
         },
         demo: || {
             gen::racy_program(&gen::RacyProgramCfg {
@@ -337,7 +326,10 @@ static ENTRIES: [AnalysisEntry; 8] = [
         description: "SeqCheck-style deadlock prediction (Table 2)",
         open: |index, window| {
             streaming_dispatch!(
-                index, window, deadlock::DeadlockPredictor<P, W>, deadlock::DeadlockCfg
+                index,
+                window,
+                deadlock::DeadlockPredictor<P>,
+                deadlock::DeadlockCfg
             )
         },
         demo: || {
@@ -353,9 +345,7 @@ static ENTRIES: [AnalysisEntry; 8] = [
         name: "membug",
         description: "ConVulPOE-style memory-bug prediction (Table 3)",
         open: |index, window| {
-            streaming_dispatch!(
-                index, window, membug::MemBugPredictor<P, W>, membug::MemBugCfg
-            )
+            streaming_dispatch!(index, window, membug::MemBugPredictor<P>, membug::MemBugCfg)
         },
         demo: || {
             gen::alloc_program(&gen::AllocProgramCfg {
@@ -395,7 +385,9 @@ static ENTRIES: [AnalysisEntry; 8] = [
     AnalysisEntry {
         name: "c11",
         description: "C11Tester-style race detection (Table 6)",
-        open: |index, window| streaming_dispatch!(index, window, c11::C11Detector<P>, c11::C11Cfg),
+        open: |index, window| {
+            streaming_dispatch!(index, window, c11::C11Detector<Csst>, c11::C11Cfg)
+        },
         demo: || {
             gen::c11_program(&gen::C11Cfg {
                 threads: 6,
@@ -454,7 +446,7 @@ fn race_lines(races: &[(NodeId, NodeId)], prefix: &str, cap: usize) -> Vec<Strin
         .collect()
 }
 
-impl<P: PartialOrderIndex, W: PartialOrderIndex> Served for race::RacePredictor<P, W> {
+impl<P: PartialOrderIndex> Served for race::RacePredictor<P> {
     const QUERIES: &'static str = ", `races` (completed windows only)";
 
     fn answer(&self, q: &str) -> Option<String> {
@@ -498,7 +490,7 @@ impl<P: PartialOrderIndex> Served for hb::HbDetector<P> {
     }
 }
 
-impl<P: PartialOrderIndex, W: PartialOrderIndex> Served for deadlock::DeadlockPredictor<P, W> {
+impl<P: PartialOrderIndex> Served for deadlock::DeadlockPredictor<P> {
     fn output(r: deadlock::DeadlockReport<P>) -> RunOutput {
         RunOutput {
             lines: r
@@ -526,7 +518,7 @@ impl<P: PartialOrderIndex, W: PartialOrderIndex> Served for deadlock::DeadlockPr
     }
 }
 
-impl<P: PartialOrderIndex, W: PartialOrderIndex> Served for membug::MemBugPredictor<P, W> {
+impl<P: PartialOrderIndex> Served for membug::MemBugPredictor<P> {
     fn output(r: membug::MemBugReport<P>) -> RunOutput {
         RunOutput {
             lines: r
@@ -699,14 +691,16 @@ mod tests {
     }
 
     #[test]
-    fn windowed_runs_reject_insert_only_indexes() {
+    fn windowed_runs_reject_dense_indexes() {
         let entry = find("race").unwrap();
         let trace = entry.demo_trace();
         for kind in [IndexKind::SegTree, IndexKind::VectorClock] {
             let err = entry.run(&trace, kind, Some(50)).unwrap_err();
-            assert!(err.contains("fully dynamic"), "{err}");
+            assert!(err.contains("needs a sparse index"), "{err}");
         }
-        assert!(entry.run(&trace, IndexKind::Graph, Some(50)).is_ok());
+        for kind in [IndexKind::Csst, IndexKind::Graph] {
+            assert!(entry.run(&trace, kind, Some(50)).is_ok());
+        }
     }
 
     #[test]

@@ -66,7 +66,7 @@ fn incompatible_options_fail_before_the_file_is_read() {
         (&["hb", missing, "--window", "5"], "does not apply"),
         (
             &["race", missing, "--index", "st", "--window", "4"],
-            "needs a fully dynamic index (csst|graph), got `st`",
+            "--window needs a sparse index (csst|graph); `st` sizes its storage by global position",
         ),
         (
             &["linearizability", missing, "--index", "vc"],

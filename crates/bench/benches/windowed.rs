@@ -3,8 +3,9 @@
 //! Runs race prediction over one large racy trace with no window (the
 //! whole stream is buffered and analyzed at `finish`) and with
 //! tumbling windows of several sizes (peak buffered events ≤ window;
-//! each retirement deletes the window's base-order edges through the
-//! CSST deletion path). Besides the timings, the bench prints the
+//! each retirement resets the base order, dropping the window's
+//! edges), on the `IncrementalCsst` that `--index csst` runs. Besides
+//! the timings, the bench prints the
 //! peak-resident-event and deleted-edge counters once per
 //! configuration, making the bounded-growth claim of the windowing
 //! layer directly observable:
@@ -16,7 +17,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use csst_analyses::race::{self, RaceCfg};
-use csst_core::Csst;
+use csst_core::IncrementalCsst;
 use csst_trace::gen::{racy_program, RacyProgramCfg};
 
 const THREADS: usize = 6;
@@ -41,7 +42,7 @@ fn bench_windowed(c: &mut Criterion) {
     });
 
     // Report the memory side of the trade once, outside the timed loop.
-    let full = race::predict::<Csst>(&trace, &cfg(None));
+    let full = race::predict::<IncrementalCsst>(&trace, &cfg(None));
     eprintln!(
         "windowed/race: events={} window=none peak_buffered={} deleted_edges={} races={}",
         trace.total_events(),
@@ -50,7 +51,7 @@ fn bench_windowed(c: &mut Criterion) {
         full.races.len()
     );
     for window in WINDOWS {
-        let r = race::predict::<Csst>(&trace, &cfg(Some(window)));
+        let r = race::predict::<IncrementalCsst>(&trace, &cfg(Some(window)));
         assert!(
             r.window.peak_buffered <= window,
             "windowed run exceeded its buffer bound"
@@ -67,11 +68,11 @@ fn bench_windowed(c: &mut Criterion) {
     let mut group = c.benchmark_group("windowed/race");
     group.sample_size(10);
     group.bench_function("full_buffer", |b| {
-        b.iter(|| race::predict::<Csst>(&trace, &cfg(None)))
+        b.iter(|| race::predict::<IncrementalCsst>(&trace, &cfg(None)))
     });
     for window in WINDOWS {
         group.bench_function(BenchmarkId::new("window", window), |b| {
-            b.iter(|| race::predict::<Csst>(&trace, &cfg(Some(window))))
+            b.iter(|| race::predict::<IncrementalCsst>(&trace, &cfg(Some(window))))
         });
     }
     group.finish();

@@ -251,6 +251,19 @@ impl<S: SuffixMinima> PartialOrderIndex for IncrementalPo<S> {
         self.succs_scratch = succs;
     }
 
+    /// Empties only the live arrays, in place: O(live pairs), where a
+    /// rebuild would allocate all `k²` of them.
+    fn clear_edges(&mut self) {
+        for t1 in 0..self.tgt_adj.len() {
+            for t2 in std::mem::take(&mut self.tgt_adj[t1]) {
+                self.arrays.clear(t1, t2 as usize);
+                self.pair_live[t1 * self.adj_stride + t2 as usize] = false;
+            }
+        }
+        self.src_adj.iter_mut().for_each(Vec::clear);
+        self.edges = 0;
+    }
+
     fn delete_edge_raw(&mut self, _from: NodeId, _to: NodeId) -> Result<(), PoError> {
         Err(PoError::DeletionUnsupported {
             structure: "incremental CSSTs / segment trees",

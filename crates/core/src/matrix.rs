@@ -95,6 +95,12 @@ impl<S: SuffixMinima> PairMatrix<S> {
         &mut self.arrays[i]
     }
 
+    /// Replaces `A_{t1}^{t2}` by an empty array of its row's length.
+    pub(crate) fn clear(&mut self, t1: usize, t2: usize) {
+        let i = self.idx(t1, t2);
+        self.arrays[i] = S::with_len(self.row_len[t1]);
+    }
+
     pub(crate) fn ensure_chain(&mut self, chain: ThreadId) {
         let old_k = self.k();
         if !self.dom.ensure_chain(chain) {

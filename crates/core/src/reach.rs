@@ -244,6 +244,20 @@ pub trait PartialOrderIndex: Send {
         self.delete_edge_raw(from, to)
     }
 
+    /// Drops every edge but keeps the witnessed chains and lengths:
+    /// afterwards the index answers like a fresh one grown to the same
+    /// domain. Insert-only structures support it too. The default
+    /// rebuilds the index.
+    fn clear_edges(&mut self)
+    where
+        Self: Sized,
+    {
+        let old = std::mem::replace(self, Self::new());
+        for t in (0..old.chains()).map(ThreadId::from_index) {
+            self.ensure_len(t, old.chain_len(t));
+        }
+    }
+
     /// Inserts `from → to` unless `to` already reaches `from`.
     ///
     /// # Errors

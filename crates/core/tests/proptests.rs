@@ -366,7 +366,7 @@ fn run_cross_structure_script(k: u32, cap: u32, ops: &[PoOp]) {
 
 // ---------------------------------------------------------------------------
 // Capacity-free growth: random scripts interleaving append/ensure_chain
-// with inserts, deletes, and queries.
+// with inserts, deletes, edge clears, and queries.
 // ---------------------------------------------------------------------------
 
 #[derive(Debug, Clone, Copy)]
@@ -382,6 +382,8 @@ enum GrowthOp {
     Insert(u32, u32, u32, u32),
     /// Delete the i-th currently live edge (mod count).
     Delete(usize),
+    /// Drop every edge, keeping the witnessed domain.
+    Clear,
 }
 
 fn growth_ops(k: u32, deletions: bool) -> impl Strategy<Value = Vec<GrowthOp>> {
@@ -392,6 +394,7 @@ fn growth_ops(k: u32, deletions: bool) -> impl Strategy<Value = Vec<GrowthOp>> {
         4 => (0..k, 0u32..30, 0..k, 0u32..30)
             .prop_map(|(t1, j1, t2, j2)| GrowthOp::Insert(t1, j1, t2, j2)),
         if deletions { 1 } else { 0 } => (0usize..64).prop_map(GrowthOp::Delete),
+        1 => Just(GrowthOp::Clear),
     ];
     prop::collection::vec(op, 1..50)
 }
@@ -471,6 +474,15 @@ fn run_growth_script<P: PartialOrderIndex>(ops: &[GrowthOp]) {
                 sut.delete_edge(u, v).unwrap();
                 naive.delete_edge(u, v).unwrap();
                 graph.delete_edge(u, v).unwrap();
+            }
+            GrowthOp::Clear => {
+                let lens: Vec<usize> = (0..k).map(|t| sut.chain_len(ThreadId(t))).collect();
+                sut.clear_edges();
+                naive.clear_edges();
+                graph.clear_edges();
+                live.clear();
+                let after: Vec<usize> = (0..k).map(|t| sut.chain_len(ThreadId(t))).collect();
+                assert_eq!(lens, after, "{}: clear_edges kept the domain", sut.name());
             }
         }
         // Cross-validate every query against both oracles, including

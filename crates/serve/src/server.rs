@@ -154,10 +154,10 @@ impl SessionStream for UnixStream {
     }
 }
 
-/// Lingering close: after a fatal ERROR reply, discard the peer's
-/// already-sent data — bounded in bytes and, via
+/// Lingering close: after the last reply (a REPORT or a fatal ERROR),
+/// discard the peer's already-sent data — bounded in bytes and, via
 /// [`SessionStream::begin_linger`], in time — so the kernel delivers
-/// the ERROR instead of resetting the connection.
+/// that reply instead of resetting the connection.
 fn drain_before_close<S: SessionStream>(stream: &mut S) {
     stream.begin_linger();
     let mut scratch = [0u8; 8192];
@@ -266,6 +266,8 @@ fn handle_session<S: SessionStream>(stream: &mut S, cfg: &ServerCfg) -> bool {
             Ok(Some((T_FINISH, _))) => {
                 let report = Report::from(session.finish());
                 let _ = write_frame(stream, T_REPORT, &report.encode());
+                // Frames the peer sent after FINISH are still unread.
+                drain_before_close(stream);
                 return false;
             }
             Ok(Some((T_SHUTDOWN, _))) => {

@@ -303,9 +303,8 @@ enum Step {
     Truncated,
 }
 
-/// Draws one connection's script. FINISH and a truncated frame end it:
-/// the server closes the session after its REPORT, and a truncated
-/// frame is followed by EOF.
+/// Draws one connection's script. A truncated frame ends it, since it
+/// is followed by EOF; FINISH ends it with [`after_finish`].
 fn draw_script(rng: &mut SmallRng) -> Vec<Step> {
     let mut script = Vec::new();
     for _ in 0..rng.gen_range(1..9) {
@@ -325,20 +324,54 @@ fn draw_script(rng: &mut SmallRng) -> Vec<Step> {
             _ => Step::Truncated,
         };
         script.push(step);
-        if matches!(step, Step::Finish | Step::Truncated) {
-            break;
+        match step {
+            Step::Finish => {
+                script.extend(after_finish(rng));
+                break;
+            }
+            Step::Truncated => break,
+            _ => {}
         }
     }
     script
+}
+
+/// A script that reaches FINISH on an open session.
+fn finishing_script(rng: &mut SmallRng) -> Vec<Step> {
+    let mut script = vec![
+        Step::Hello { valid: true },
+        Step::Events { valid: true },
+        Step::Query { known: true },
+        Step::Finish,
+    ];
+    script.extend(after_finish(rng));
+    script
+}
+
+/// What follows FINISH: a QUERY, an EVENTS frame and garbage, which the
+/// server must discard unread after its REPORT.
+fn after_finish(rng: &mut SmallRng) -> [Step; 3] {
+    [
+        Step::Query {
+            known: rng.gen_bool(0.5),
+        },
+        Step::Events {
+            valid: rng.gen_bool(0.5),
+        },
+        [Step::UnknownTag, Step::Oversized][rng.gen_range(0..2usize)],
+    ]
 }
 
 /// The session protocol is total over frame *orders*: 64 connections,
 /// each a seeded random script of HELLOs (valid or not, possibly
 /// twice), EVENTS (valid or garbage, also before HELLO), QUERYs (known
 /// or not), FINISH, unknown tags, oversized length prefixes and
-/// truncated frames. Every reply is OK, ANSWER, REPORT or an ERROR
-/// with a [`ServeError::code`] other than `panic`, and a session-fatal
-/// ERROR is the last frame of its connection. An hb session opened
+/// truncated frames, then 16 scripts that reach FINISH on an open
+/// session. Every FINISH is followed by a QUERY, EVENTS and garbage.
+/// Every reply is OK, ANSWER, REPORT or an ERROR with a
+/// [`ServeError::code`] other than `panic`. A session-fatal ERROR or a
+/// REPORT is the last frame of its connection, a REPORT decodes, and
+/// every connection ends in EOF, never a reset. An hb session opened
 /// before the run still reports byte for byte what the batch CLI does,
 /// and SHUTDOWN still stops the server cleanly.
 #[test]
@@ -388,9 +421,14 @@ fn session_protocol_is_total_over_frame_orders() {
         .collect();
 
     let mut seen = std::collections::BTreeSet::new();
+    let mut reports = 0;
     let mut rng = SmallRng::seed_from_u64(0x70_7A1);
-    for conn in 0..64 {
-        let script = draw_script(&mut rng);
+    for conn in 0..80 {
+        let script = if conn < 64 {
+            draw_script(&mut rng)
+        } else {
+            finishing_script(&mut rng)
+        };
         let mut out = Vec::new();
         let mut cursor = 0;
         for &step in &script {
@@ -452,7 +490,13 @@ fn session_protocol_is_total_over_frame_orders() {
             let class = match *tag {
                 T_OK => "OK",
                 T_ANSWER => "ANSWER",
-                T_REPORT => "REPORT",
+                T_REPORT => {
+                    assert!(i + 1 == replies.len(), "REPORT must be last: {}", ctx());
+                    Report::decode(text.as_bytes())
+                        .unwrap_or_else(|e| panic!("REPORT does not decode ({e}): {}", ctx()));
+                    reports += 1;
+                    "REPORT"
+                }
                 T_ERROR => {
                     let code = text.split(':').next().unwrap_or_default();
                     let code = *codes
@@ -474,6 +518,7 @@ fn session_protocol_is_total_over_frame_orders() {
     // The scripts reached every reply class the protocol has.
     let want = ["ANSWER", "OK", "REPORT", "decode", "protocol", "query"];
     assert_eq!(seen, want.into_iter().collect());
+    assert!(reports >= 16, "only {reports} scripts reached a REPORT");
 
     healthy.send_trace(&hb.demo_trace()).expect("send");
     let report = healthy.finish().expect("healthy report");

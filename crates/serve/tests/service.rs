@@ -155,11 +155,10 @@ fn tcp_query_round_trips_do_not_stall() {
     handle.join().unwrap().expect("server exits cleanly");
 }
 
-/// A windowed `race`/`csst` session runs `RacePredictor<Csst,
-/// IncrementalCsst>`: the deleting base order on the fully dynamic
-/// CSST, the witness closures on the incremental one. Its `races`
-/// query counts the races of completed windows, and its report must
-/// equal the batch CLI's.
+/// A windowed `race`/`csst` session runs `RacePredictor<IncrementalCsst>`:
+/// base order and witness closures on the incremental CSST, the base
+/// order reset at each retirement. Its `races` query counts the races
+/// of completed windows, and its report must equal the batch CLI's.
 #[test]
 fn windowed_race_session_with_incremental_witnesses_matches_batch() {
     let (addr, handle) = spawn_server();

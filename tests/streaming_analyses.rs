@@ -255,10 +255,10 @@ fn linearizability_streaming_matches_batch() {
 //
 // With `window: Some(n)` the predictive analyses cut the stream into
 // n-event tumbling windows, analyze each as an independent execution
-// and retire its base-order edges via `delete_edge`. The tests below
-// pin the two ends of the soundness contract: windowed == batch when
-// the trace fits the window, and bounded buffering (peak ≤ n) with the
-// deletion path genuinely exercised otherwise.
+// and retire each window by resetting its base order to a fresh index.
+// The tests below pin the two ends of the soundness contract: windowed
+// == batch when the trace fits the window, and bounded buffering
+// (peak ≤ n) with real retirements otherwise.
 
 #[test]
 fn windowed_equals_batch_when_trace_fits_window() {
@@ -365,7 +365,7 @@ fn windowed_equals_batch_when_trace_fits_window() {
 }
 
 /// The acceptance criterion of the windowing layer: peak buffered
-/// events never exceed the window, retirement actually deletes the
+/// events never exceed the window, retirement actually drops the
 /// window's base-order edges, and the run stays sound (a subset of
 /// per-window batch reports — pinned exactly in windowed_proptests).
 #[test]
@@ -387,7 +387,7 @@ fn windowed_runs_bound_peak_buffered_events() {
         max_candidates: usize::MAX,
         ..Default::default()
     };
-    let windowed = race::predict::<Csst>(&trace, &cfg);
+    let windowed = race::predict::<IncrementalCsst>(&trace, &cfg);
     let stats = windowed.window;
     assert!(
         stats.peak_buffered <= WINDOW,
@@ -398,7 +398,7 @@ fn windowed_runs_bound_peak_buffered_events() {
     assert_eq!(stats.retired_events, stats.windows * WINDOW);
     assert!(
         stats.deleted_edges > 0,
-        "retirement must exercise the deletion path"
+        "retirement must drop the window's edges"
     );
     // Every reported race is window-local: both endpoints fell into
     // the same tumbling window, so no report spans a boundary.
