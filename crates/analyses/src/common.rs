@@ -601,13 +601,20 @@ mod tests {
 
     #[test]
     fn retirement_resets_an_insert_only_base_order() {
+        retirement_resets_the_base_order::<IncrementalCsst>();
+        retirement_resets_the_base_order::<Csst>();
+    }
+
+    /// After every retirement the base order answers like a fresh index
+    /// grown to the same chain lengths.
+    fn retirement_resets_the_base_order<P: PartialOrderIndex>() {
         let trace = csst_trace::gen::racy_program(&csst_trace::gen::RacyProgramCfg {
             threads: 4,
             events_per_thread: 80,
             shared_frac: 0.6,
             ..Default::default()
         });
-        let mut builder = BaseOrderBuilder::<IncrementalCsst>::observing(Some(37));
+        let mut builder = BaseOrderBuilder::<P>::observing(Some(37));
         let mut checked = 0;
         for (id, ev) in trace.iter_order() {
             builder.feed(id.thread, ev.kind);
@@ -617,7 +624,7 @@ mod tests {
             builder.retire_window();
             checked += 1;
             let po = builder.po();
-            let fresh = IncrementalCsst::new();
+            let fresh = P::new();
             for a in (0..po.chains() as u32).map(ThreadId) {
                 assert_eq!(po.chain_len(a), builder.counts[a.index()] as usize);
                 for u in (0..po.chain_len(a) as u32).map(|i| NodeId::new(a, i)) {

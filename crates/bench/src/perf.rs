@@ -467,10 +467,10 @@ fn run_query_batch<P: PartialOrderIndex>(
 
 /// One point of the query/update ratio sweep (`query_update_r{1,16,256}`):
 /// half the edge stream is prefilled, then every remaining insert is
-/// followed by `ratio` queries. Each insert rolls the CSST query
-/// engine's epoch, so this measures exactly the burst pattern the memo
-/// layer targets — and how every representation amortizes queries
-/// against updates.
+/// followed by `ratio` queries. This measures how every representation
+/// amortizes queries against updates: the fully dynamic CSST pays its
+/// crossing-path fixpoint on every query, the incremental ones pay at
+/// insert time.
 fn run_query_update<P: PartialOrderIndex>(
     cfg: &BenchCfg,
     repr: &'static str,

@@ -19,24 +19,20 @@
 //! tracks the *live* structure instead of the `k³` worst case — and
 //! remains, as in the paper, independent of the trace length `n`.
 //!
-//! Three further ingredients make the read path allocation-free and
-//! burst-friendly (see the "query engine" chapter of
-//! `docs/ARCHITECTURE.md`):
+//! Two further ingredients make the read path allocation-free and
+//! short (see the "query engine" chapter of `docs/ARCHITECTURE.md`):
 //!
 //! * per-index scratch buffers ([`QueryScratch`], behind a `RefCell`)
 //!   reused across queries, with stamp-based invalidation so a query
 //!   touches only the chains it visits;
-//! * an **epoch-guarded memo**: every successful update bumps an edge
-//!   version; complete fixpoint closures are cached per source node
-//!   and served until the epoch rolls, so query bursts between updates
-//!   (the `hb`/`race` pattern) pay the propagation once;
-//! * bound-aware early exit: [`PartialOrderIndex::reachable`] stops as
-//!   soon as the target chain's bound is good enough, rather than
-//!   running the fixpoint to completion.
+//! * early exits: [`PartialOrderIndex::reachable`] stops as soon as
+//!   the target chain's bound is good enough, rather than running the
+//!   fixpoint to completion, and a target chain with no live edge in
+//!   the query's direction is answered without running it at all.
 //!
 //! The batched query API ([`PartialOrderIndex::reachable_batch`] and
 //! friends) keeps the trait's per-probe defaults: every probe is one
-//! run of the engine above, memo and early exits included, so batched
+//! run of the engine above, early exits included, so batched
 //! answers equal sequential ones by construction.
 //!
 //! The domain is capacity-free: chains and positions are witnessed on
@@ -52,9 +48,6 @@ use crate::sst::SparseSegmentTree;
 use crate::stats::DensityStats;
 use crate::suffix::SuffixMinima;
 use std::cell::RefCell;
-
-/// Number of source-node closures the epoch-guarded query memo retains.
-const MEMO_CAPACITY: usize = 16;
 
 /// Reusable buffers of the worklist query engine. One instance lives in
 /// each index behind a `RefCell`, so steady-state queries allocate
@@ -143,85 +136,6 @@ impl QueryScratch {
     }
 }
 
-/// Direction of a memoized closure.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Dir {
-    Fwd,
-    Bwd,
-}
-
-/// One cached fixpoint closure: for source node `⟨t1, j1⟩`, the bound
-/// per chain (forward: earliest reachable position, backward: latest
-/// predecessor; [`INF`] encodes "none" in both directions). Valid only
-/// while `epoch` matches the index's edge version.
-#[derive(Debug, Clone)]
-struct MemoEntry {
-    epoch: u64,
-    dir: Dir,
-    t1: u32,
-    j1: Pos,
-    vals: Vec<Pos>,
-}
-
-/// Epoch-guarded closure cache: a tiny direct-scan store of at most
-/// [`MEMO_CAPACITY`] entries with round-robin replacement. Chains
-/// beyond `vals.len()` read as unconnected, so pure domain growth
-/// (which never changes answers) does not invalidate entries — only
-/// edge updates roll the epoch.
-#[derive(Debug, Clone, Default)]
-struct QueryMemo {
-    entries: Vec<MemoEntry>,
-    next: usize,
-}
-
-impl QueryMemo {
-    /// The cached bound of chain `t2` for source `⟨t1, j1⟩`, if a
-    /// closure of the right direction and epoch is cached.
-    fn lookup(&self, epoch: u64, dir: Dir, t1: usize, j1: Pos, t2: usize) -> Option<Pos> {
-        self.entries
-            .iter()
-            .find(|e| e.epoch == epoch && e.dir == dir && e.t1 == t1 as u32 && e.j1 == j1)
-            .map(|e| e.vals.get(t2).copied().unwrap_or(INF))
-    }
-
-    /// Caches the complete closure held in `scratch` (unvisited chains
-    /// are stored as [`INF`]), reusing a replaced entry's allocation.
-    fn store(&mut self, epoch: u64, dir: Dir, t1: usize, j1: Pos, k: usize, s: &QueryScratch) {
-        let fill = |vals: &mut Vec<Pos>| {
-            vals.clear();
-            vals.extend((0..k).map(|t| s.get(t).unwrap_or(INF)));
-        };
-        if self.entries.len() < MEMO_CAPACITY {
-            let mut vals = Vec::new();
-            fill(&mut vals);
-            self.entries.push(MemoEntry {
-                epoch,
-                dir,
-                t1: t1 as u32,
-                j1,
-                vals,
-            });
-        } else {
-            let e = &mut self.entries[self.next];
-            e.epoch = epoch;
-            e.dir = dir;
-            e.t1 = t1 as u32;
-            e.j1 = j1;
-            fill(&mut e.vals);
-            self.next = (self.next + 1) % MEMO_CAPACITY;
-        }
-    }
-
-    fn memory_bytes(&self) -> usize {
-        self.entries.capacity() * std::mem::size_of::<MemoEntry>()
-            + self
-                .entries
-                .iter()
-                .map(|e| e.vals.capacity() * std::mem::size_of::<Pos>())
-                .sum::<usize>()
-    }
-}
-
 /// Fully dynamic chain-DAG reachability over a pluggable suffix-minima
 /// structure (Algorithm 2). Use the [`Csst`] alias for the paper's data
 /// structure.
@@ -234,9 +148,6 @@ pub struct DynamicPo<S> {
     /// the live-pair adjacency the query worklist walks.
     heaps: EdgeHeapStore,
     edges: usize,
-    /// Edge version: bumped by every successful insert/delete so cached
-    /// closures and in-flight assumptions can be invalidated cheaply.
-    epoch: u64,
     /// Number of live edges that go *backward* in position
     /// (`to.pos < from.pos`). While zero — true for every
     /// streaming/windowed workload in this repo — relaxed bounds are
@@ -245,7 +156,6 @@ pub struct DynamicPo<S> {
     /// with single-pop finalization and sound early termination.
     backward_edges: usize,
     scratch: RefCell<QueryScratch>,
-    memo: RefCell<QueryMemo>,
 }
 
 /// The paper's fully dynamic CSST: [`DynamicPo`] over
@@ -293,17 +203,14 @@ impl<S: SuffixMinima> DynamicPo<S> {
     ///   in particular `t2` — can ever reach a bound `≤ stop_at`,
     ///   answering a reachability query negatively.
     ///
-    /// Only complete runs (worklist drained, no early exit) are
-    /// memoized, since an interrupted run leaves other chains'
-    /// bounds unconverged.
+    /// A target chain that no live edge enters is answered before the
+    /// worklist starts.
     fn forward_fixpoint(&self, t1: usize, j1: Pos, t2: usize, stop_at: Pos, exact: bool) -> Pos {
-        let epoch = self.epoch;
-        if let Some(v) = self.memo.borrow().lookup(epoch, Dir::Fwd, t1, j1, t2) {
-            return v;
+        if self.heaps.in_neighbors(t2).is_empty() {
+            return INF; // no live edge enters t2
         }
-        let k = self.k();
         let mut s = self.scratch.borrow_mut();
-        s.begin(k);
+        s.begin(self.k());
         for &t in self.heaps.out_neighbors(t1) {
             let t = t as usize;
             let v = self.arrays.get(t1, t).suffix_min(j1 as usize);
@@ -345,9 +252,7 @@ impl<S: SuffixMinima> DynamicPo<S> {
                 }
             }
         }
-        let result = s.get(t2).unwrap_or(INF);
-        self.memo.borrow_mut().store(epoch, Dir::Fwd, t1, j1, k, &s);
-        result
+        s.get(t2).unwrap_or(INF)
     }
 
     /// Earliest node of chain `t2` reachable from `⟨t1, j1⟩` via at
@@ -364,15 +269,14 @@ impl<S: SuffixMinima> DynamicPo<S> {
     /// largest bound first; with no backward edges the popped bound is
     /// final (the backward dual of the Dijkstra argument in
     /// [`forward_fixpoint`](Self::forward_fixpoint)), so popping `t2`
-    /// answers immediately.
+    /// answers immediately. A target chain that no live edge leaves is
+    /// answered before the worklist starts.
     fn predecessor_raw(&self, t1: usize, j1: Pos, t2: usize) -> Option<Pos> {
-        let epoch = self.epoch;
-        if let Some(v) = self.memo.borrow().lookup(epoch, Dir::Bwd, t1, j1, t2) {
-            return (v != INF).then_some(v);
+        if self.heaps.out_neighbors(t2).is_empty() {
+            return None; // no live edge leaves t2
         }
-        let k = self.k();
         let mut s = self.scratch.borrow_mut();
-        s.begin(k);
+        s.begin(self.k());
         for &t in self.heaps.in_neighbors(t1) {
             let t = t as usize;
             if let Some(v) = self.arrays.get(t, t1).argleq(j1) {
@@ -401,9 +305,7 @@ impl<S: SuffixMinima> DynamicPo<S> {
                 }
             }
         }
-        let result = s.get(t2);
-        self.memo.borrow_mut().store(epoch, Dir::Bwd, t1, j1, k, &s);
-        result
+        s.get(t2)
     }
 
     /// The original dense `O(k³)` Bellman–Ford fixpoint of Algorithm 2,
@@ -488,10 +390,8 @@ impl<S: SuffixMinima> PartialOrderIndex for DynamicPo<S> {
             arrays: PairMatrix::new(),
             heaps: EdgeHeapStore::new(),
             edges: 0,
-            epoch: 0,
             backward_edges: 0,
             scratch: RefCell::default(),
-            memo: RefCell::default(),
         }
     }
 
@@ -503,10 +403,8 @@ impl<S: SuffixMinima> PartialOrderIndex for DynamicPo<S> {
             arrays,
             heaps,
             edges: 0,
-            epoch: 0,
             backward_edges: 0,
             scratch: RefCell::default(),
-            memo: RefCell::default(),
         }
     }
 
@@ -542,7 +440,6 @@ impl<S: SuffixMinima> PartialOrderIndex for DynamicPo<S> {
             self.backward_edges += 1;
         }
         self.edges += 1;
-        self.epoch += 1;
     }
 
     fn delete_edge_raw(&mut self, from: NodeId, to: NodeId) -> Result<(), PoError> {
@@ -563,8 +460,20 @@ impl<S: SuffixMinima> PartialOrderIndex for DynamicPo<S> {
             self.backward_edges -= 1;
         }
         self.edges -= 1;
-        self.epoch += 1;
         Ok(())
+    }
+
+    /// Empties only the live pairs' arrays and heaps, in place: O(live
+    /// pairs), where a rebuild would allocate all `k²` of them.
+    fn clear_edges(&mut self) {
+        for t1 in 0..self.k() {
+            for &t2 in self.heaps.out_neighbors(t1) {
+                self.arrays.clear(t1, t2 as usize);
+            }
+        }
+        self.heaps.clear();
+        self.edges = 0;
+        self.backward_edges = 0;
     }
 
     /// Bound-aware reachability: runs the forward worklist with the
@@ -619,12 +528,11 @@ impl<S: SuffixMinima> PartialOrderIndex for DynamicPo<S> {
         // (the analogue of the outer hash map this layout replaced,
         // whose bucket overhead the old accounting missed) plus every
         // pair's entry vector and spilled heap. The query engine's
-        // scratch and memo are O(k) side buffers but are charged too.
+        // scratch is an O(k) side buffer but is charged too.
         std::mem::size_of::<Self>()
             + self.arrays.memory_bytes()
             + self.heaps.memory_bytes()
             + self.scratch.borrow().memory_bytes()
-            + self.memo.borrow().memory_bytes()
     }
 }
 
@@ -958,33 +866,32 @@ mod tests {
     }
 
     #[test]
-    fn memo_serves_bursts_and_rolls_with_the_epoch() {
+    fn answers_follow_every_insert_and_delete() {
         let mut po = Csst::with_capacity(3, 50);
         po.insert_edge(n(0, 10), n(1, 20)).unwrap();
         po.insert_edge(n(1, 25), n(2, 30)).unwrap();
-        // A burst of queries from one source node: the second call is
-        // served from the memo and must agree with the first.
+        // A burst of queries from one source node: the repeat reuses
+        // the scratch buffers and must agree with the first call.
         let first = po.successor(n(0, 5), ThreadId(2));
         assert_eq!(first, Some(30));
         assert_eq!(po.successor(n(0, 5), ThreadId(2)), first);
         assert_eq!(po.successor(n(0, 5), ThreadId(1)), Some(20));
-        // An update rolls the epoch: the cached closure must not leak.
+        // Every update shows in the next answer.
         po.delete_edge(n(1, 25), n(2, 30)).unwrap();
         assert_eq!(po.successor(n(0, 5), ThreadId(2)), None);
         assert_eq!(po.successor(n(0, 5), ThreadId(1)), Some(20));
         po.insert_edge(n(1, 21), n(2, 40)).unwrap();
         assert_eq!(po.successor(n(0, 5), ThreadId(2)), Some(40));
-        // Backward closures roll identically.
+        // Backward answers follow updates the same way.
         assert_eq!(po.predecessor(n(2, 45), ThreadId(0)), Some(10));
         po.delete_edge(n(0, 10), n(1, 20)).unwrap();
         assert_eq!(po.predecessor(n(2, 45), ThreadId(0)), None);
     }
 
     #[test]
-    fn memo_survives_pure_domain_growth() {
-        // Pure growth never changes answers, so it must not invalidate
-        // cached closures — and cached closures must answer queries
-        // about chains younger than the cache entry as "unconnected".
+    fn growth_keeps_answers_and_new_chains_read_unconnected() {
+        // Pure growth never changes answers, and chains witnessed after
+        // the edges were inserted carry none of them.
         let mut po = Csst::with_capacity(2, 10);
         po.insert_edge(n(0, 3), n(1, 4)).unwrap();
         assert_eq!(po.successor(n(0, 0), ThreadId(1)), Some(4));
@@ -1013,8 +920,8 @@ mod tests {
                 for t2 in (0..4usize).filter(|&t2| t2 != t1) {
                     let ds = po.dense_successor_raw(t1, j1, t2);
                     let dp = po.dense_predecessor_raw(t1, j1, t2);
-                    // Complete runs are memoized, so the second call
-                    // is answered from the cache.
+                    // The repeat reuses the scratch stamps of the
+                    // first call.
                     for _ in 0..2 {
                         assert_eq!(po.successor_raw(t1, j1, t2), ds);
                         assert_eq!(po.predecessor_raw(t1, j1, t2), dp);
@@ -1027,9 +934,9 @@ mod tests {
 
 #[cfg(test)]
 mod worklist_engine {
-    //! The worklist + memo query engine against the paper's dense
-    //! `O(k³)` fixpoint (kept above behind `#[cfg(test)]`), under
-    //! random insert/delete/query scripts so epochs genuinely roll.
+    //! The worklist query engine against the paper's dense `O(k³)`
+    //! fixpoint (kept above behind `#[cfg(test)]`), under random
+    //! insert/delete/query scripts.
 
     use super::*;
     use crate::naive::NaiveIndex;
@@ -1050,7 +957,7 @@ mod worklist_engine {
 
     /// Runs one script, checking the engine against the dense fixpoint
     /// after every update. Each query is asked twice, so the repeat
-    /// comes from the memo wherever the first run completed. With
+    /// runs on scratch stamps the first call left behind. With
     /// `forward_only`, targets are rewritten to `to.pos ≥ from.pos`, so
     /// the index never holds a backward edge and the Dijkstra mode
     /// (single-pop finalization + bounded early exit) is what answers;
@@ -1083,9 +990,9 @@ mod worklist_engine {
                     po.delete_edge(u, v).unwrap();
                 }
             }
-            // Query in between every update, twice per node so the
-            // memo path (second call hits the cache) is exercised
-            // at every epoch.
+            // Query in between every update, twice per node so stale
+            // scratch stamps from the first call cannot leak into the
+            // second.
             let kk = po.chains();
             let mut node_probes = Vec::new();
             let mut reach_probes = Vec::new();
@@ -1114,9 +1021,9 @@ mod worklist_engine {
                     }
                 }
             }
-            // The whole probe grid again through the batched API, at
-            // this same (freshly rolled) epoch: batched answers must
-            // agree with the per-probe engine.
+            // The whole probe grid again through the batched API, with
+            // no update in between: batched answers must agree with the
+            // per-probe engine.
             let (mut bs, mut bp, mut br) = (Vec::new(), Vec::new(), Vec::new());
             po.successor_batch(&node_probes, &mut bs);
             po.predecessor_batch(&node_probes, &mut bp);

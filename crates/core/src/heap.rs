@@ -338,6 +338,18 @@ impl EdgeHeapStore {
         Some(removed)
     }
 
+    /// Drops every edge, keeping the stride: resets only the live pairs
+    /// (found through the adjacency) and empties the adjacency lists.
+    /// A pair whose last edge was removed is already empty.
+    pub(crate) fn clear(&mut self) {
+        for (t1, out) in self.out_adj.iter_mut().enumerate() {
+            for t2 in out.drain(..) {
+                self.pairs[t1 * self.kslots + t2 as usize] = PairHeaps::default();
+            }
+        }
+        self.in_adj.iter_mut().for_each(Vec::clear);
+    }
+
     /// Chains `t2` whose pair `(t1, t2)` holds at least one live edge
     /// (unsorted). Empty for unwitnessed chains.
     #[inline]

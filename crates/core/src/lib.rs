@@ -18,9 +18,8 @@
 //!   Trees (Algorithm 2): `O(max(log δ, min(log n, d)))` updates and
 //!   supports edge deletion. Queries run the paper's
 //!   `O(k³ min(log n, d))` crossing-path fixpoint as a sparse worklist
-//!   over the chain pairs that actually hold edges, with an
-//!   epoch-guarded memo for query bursts (see the module docs of
-//!   `dynamic`).
+//!   over the chain pairs that actually hold edges, recomputed on every
+//!   query as in the paper (see the module docs of `dynamic`).
 //! * [`IncrementalCsst`] — the purely incremental specialization
 //!   (Algorithm 3): `O(k² min(log n, d))` inserts and
 //!   `O(min(log n, d))` queries.

@@ -77,7 +77,7 @@ use crate::index::{NodeId, Pos, ThreadId, MAX_CHAINS, MAX_POS};
 /// The trait requires [`Send`]: an analysis session owns its index and
 /// is itself `Send` (`csst-serve` runs each session on its own thread),
 /// so every representation must be movable into another thread.
-/// Interior mutability inside an index (query scratch, memos) is fine —
+/// Interior mutability inside an index (query scratch) is fine —
 /// [`RefCell`](std::cell::RefCell) is `Send` — but thread-pinned state
 /// (`Rc`, thread locals) is not.
 ///
@@ -338,8 +338,7 @@ pub trait PartialOrderIndex: Send {
     ///
     /// * fully dynamic CSSTs: `O(p·min(log n, d))` sparse-worklist
     ///   propagation (`p ≤ k²`; the paper's dense bound is
-    ///   `O(k³·min(log n, d))`), amortized to `O(1)` for repeated
-    ///   sources between updates by the epoch memo;
+    ///   `O(k³·min(log n, d))`), recomputed on every query;
     /// * incremental CSSTs / STs: one suffix-minima query,
     ///   `O(min(log n, d))` resp. `O(log n)`;
     /// * VCs: `O(log n)` binary search over materialized clock rows;

@@ -678,15 +678,13 @@ proptest! {
 
 // ---------------------------------------------------------------------------
 // The worklist query engine: the CSST against the naive and graph
-// oracles, with epochs rolling mid-script.
+// oracles, with updates between query grids.
 // ---------------------------------------------------------------------------
 
 /// Runs one insert/delete script on a CSST and both oracles,
 /// interleaving a query grid after every update. Every query is issued
-/// **twice**, so the repeat is answered from the memo's closure cache
-/// wherever the first run stored one at that exact epoch — inserts and
-/// deletes in the script then genuinely roll the epoch between
-/// bursts. With `forward_only`, target positions are rewritten
+/// **twice**, so the repeat runs on the scratch stamps the first call
+/// left behind and pins their invalidation. With `forward_only`, target positions are rewritten
 /// past their sources so the engine's Dijkstra mode (single-pop
 /// finalization, bounded early exit) answers; otherwise backward edges
 /// keep it on the chaotic-iteration fallback.
@@ -744,8 +742,8 @@ fn run_query_engine_script(k: u32, cap: u32, ops: &[PoOp], forward_only: bool) {
                 }
             }
         }
-        // The same grid through the batched API, with the memo just
-        // warmed by the sequential queries above.
+        // The same grid through the batched API, right after the
+        // sequential queries above.
         assert_batched_matches_sequential(&po, k, cap);
         assert_batched_matches_sequential(&graph, k, cap);
     }
@@ -753,7 +751,7 @@ fn run_query_engine_script(k: u32, cap: u32, ops: &[PoOp], forward_only: bool) {
 
 /// Pins the per-probe engine on a wide domain (`k` in the tens) to
 /// the oracle. Edges are applied in `insert_edges`
-/// bursts so query epochs roll mid-script; after every burst the whole
+/// bursts; after every burst the whole
 /// query grid is checked against `NaiveIndex`, one probe at a time and
 /// through the batched API.
 fn run_wide_k_batched_script(k: u32, cap: u32, ops: &[PoOp]) {
@@ -777,7 +775,7 @@ fn run_wide_k_batched_script(k: u32, cap: u32, ops: &[PoOp]) {
             naive.insert_edge(u, v).unwrap();
             burst.push((u, v));
         }
-        po.insert_edges(&burst).unwrap(); // rolls the query epoch
+        po.insert_edges(&burst).unwrap();
         assert_grid_matches_oracle(&po, &naive, k, cap);
         assert_batched_matches_sequential(&po, k, cap);
     }
@@ -817,7 +815,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
-    fn query_engine_matches_oracles_with_and_without_memo(
+    fn query_engine_matches_oracles_on_repeated_queries(
         k in 2u32..5,
         ops in po_ops(5, 12, true)
     ) {

@@ -368,6 +368,8 @@ fn after_finish(rng: &mut SmallRng) -> [Step; 3] {
 /// or not), FINISH, unknown tags, oversized length prefixes and
 /// truncated frames, then 16 scripts that reach FINISH on an open
 /// session. Every FINISH is followed by a QUERY, EVENTS and garbage.
+/// Every other connection writes its script in seeded chunks of 1–16
+/// bytes, the rest in one write.
 /// Every reply is OK, ANSWER, REPORT or an ERROR with a
 /// [`ServeError::code`] other than `panic`. A session-fatal ERROR or a
 /// REPORT is the last frame of its connection, a REPORT decodes, and
@@ -423,6 +425,7 @@ fn session_protocol_is_total_over_frame_orders() {
     let mut seen = std::collections::BTreeSet::new();
     let mut reports = 0;
     let mut rng = SmallRng::seed_from_u64(0x70_7A1);
+    let mut split_rng = SmallRng::seed_from_u64(0x5_9117);
     for conn in 0..80 {
         let script = if conn < 64 {
             draw_script(&mut rng)
@@ -476,8 +479,19 @@ fn session_protocol_is_total_over_frame_orders() {
             }
         }
 
+        // Nagle off, so length prefixes and payloads straddle segments.
         let mut stream = TcpStream::connect(tcp).unwrap();
-        stream.write_all(&out).unwrap();
+        if conn % 2 == 1 {
+            stream.set_nodelay(true).unwrap();
+            let mut rest = &out[..];
+            while !rest.is_empty() {
+                let n = split_rng.gen_range(1..=16usize).min(rest.len());
+                stream.write_all(&rest[..n]).unwrap();
+                rest = &rest[n..];
+            }
+        } else {
+            stream.write_all(&out).unwrap();
+        }
         stream.shutdown(std::net::Shutdown::Write).unwrap();
         let mut replies = Vec::new();
         while let Some((tag, payload)) = read_frame(&mut stream)

@@ -13,8 +13,17 @@
 #
 # For every metric the script prints each side's median and quartiles
 # and how many pairs REV_B won (the direction comes from REV_B's
-# BENCHMARK.json). It exits non-zero if any run fails or reports
-# `correct: false` or a nonzero `failed`.
+# BENCHMARK.json). Each end-to-end metric also gets a verdict against
+# its `bound` in REV_B's BENCHMARK.json:
+#   gain        B won at least 9 of 10 pairs and its median beats A's
+#               by more than A's interquartile range;
+#   worse       B's median is worse than A's by more than the bound;
+#   unresolved  A's interquartile range, relative to its median, is
+#               wider than the bound, so the runs cannot tell;
+#   within      otherwise.
+# Per-layer metrics have no bound and print `-`. The script exits
+# non-zero if any run fails or reports `correct: false` or a nonzero
+# `failed`.
 #
 # REV_A/REV_B are any commit-ish; for uncommitted changes pass
 # `$(git stash create)`. SECONDS defaults to 10. The scratch directory
@@ -76,6 +85,7 @@ work, pairs, workload, rev_a, rev_b = sys.argv[1], int(sys.argv[2]), *sys.argv[3
 
 bench = json.load(open(f"{work}/b/BENCHMARK.json"))
 better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+bound = {m["name"]: m["bound"] for m in bench["end_to_end"]}
 
 runs = {"a": [], "b": []}
 bad = []
@@ -87,6 +97,19 @@ for i in range(1, pairs + 1):
                        f"failed={res.get('failed')}")
         runs[side].append({k: v["value"] for k, v in res["metrics"].items()})
 
+def verdict(name, wins, qa1, ma, qa3, mb):
+    if name not in bound:
+        return "-"
+    # Positive gap: B is better than A.
+    gap = ma - mb if better[name] == "lower" else mb - ma
+    if wins * 10 >= 9 * pairs and gap > qa3 - qa1:
+        return "gain"
+    if ma and -gap / ma > bound[name]:
+        return "worse"
+    if ma and (qa3 - qa1) / ma > bound[name]:
+        return "unresolved"
+    return "within"
+
 def quartiles(xs):
     if len(xs) < 2:
         return xs[0], xs[0], xs[0]
@@ -97,7 +120,7 @@ print(f"workload {workload}, {pairs} interleaved pairs")
 print(f"  A = {rev_a}")
 print(f"  B = {rev_b}")
 print(f"{'metric':<34} {'A median [q1, q3]':>32} {'B median [q1, q3]':>32} "
-      f"{'change':>8} {'B wins':>7}")
+      f"{'change':>8} {'B wins':>7} {'verdict':>10}")
 for name in runs["a"][0]:
     a = [r[name] for r in runs["a"]]
     b = [r[name] for r in runs["b"]]
@@ -105,13 +128,15 @@ for name in runs["a"][0]:
     change = f"{(mb - ma) / ma * 100:+.1f}%" if ma else "n/a"
     direction = better.get(name)
     if direction == "lower":
-        wins = f"{sum(y < x for x, y in zip(a, b))}/{pairs}"
+        won = sum(y < x for x, y in zip(a, b))
     elif direction == "higher":
-        wins = f"{sum(y > x for x, y in zip(a, b))}/{pairs}"
+        won = sum(y > x for x, y in zip(a, b))
     else:
-        wins = "-"
+        won = None
+    wins = "-" if won is None else f"{won}/{pairs}"
+    v = verdict(name, won, qa1, ma, qa3, mb)
     print(f"{name:<34} {f'{ma:.4g} [{qa1:.4g}, {qa3:.4g}]':>32} "
-          f"{f'{mb:.4g} [{qb1:.4g}, {qb3:.4g}]':>32} {change:>8} {wins:>7}")
+          f"{f'{mb:.4g} [{qb1:.4g}, {qb3:.4g}]':>32} {change:>8} {wins:>7} {v:>10}")
 if bad:
     print("perf_ab: FAILED checks:", *bad, sep="\n  ", file=sys.stderr)
     sys.exit(1)
