@@ -554,7 +554,7 @@ impl<P: PartialOrderIndex> PartialOrderIndex for WindowIndex<'_, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csst_core::{Csst, IncrementalCsst};
+    use csst_core::{Csst, GraphIndex, IncrementalCsst};
     use csst_trace::TraceBuilder;
 
     #[test]
@@ -601,45 +601,80 @@ mod tests {
 
     #[test]
     fn retirement_resets_an_insert_only_base_order() {
-        retirement_resets_the_base_order::<IncrementalCsst>();
-        retirement_resets_the_base_order::<Csst>();
-    }
-
-    /// After every retirement the base order answers like a fresh index
-    /// grown to the same chain lengths.
-    fn retirement_resets_the_base_order<P: PartialOrderIndex>() {
-        let trace = csst_trace::gen::racy_program(&csst_trace::gen::RacyProgramCfg {
+        // The first trace adds at most one base-order edge per window; the
+        // second, with two unlocked variables, several.
+        let sparse = csst_trace::gen::RacyProgramCfg {
             threads: 4,
             events_per_thread: 80,
             shared_frac: 0.6,
             ..Default::default()
-        });
-        let mut builder = BaseOrderBuilder::<P>::observing(Some(37));
-        let mut checked = 0;
-        for (id, ev) in trace.iter_order() {
-            builder.feed(id.thread, ev.kind);
-            if !builder.window_full() {
-                continue;
-            }
-            builder.retire_window();
-            checked += 1;
-            let po = builder.po();
-            let fresh = P::new();
-            for a in (0..po.chains() as u32).map(ThreadId) {
-                assert_eq!(po.chain_len(a), builder.counts[a.index()] as usize);
-                for u in (0..po.chain_len(a) as u32).map(|i| NodeId::new(a, i)) {
-                    for b in (0..po.chains() as u32).map(ThreadId).filter(|&b| b != a) {
-                        assert_eq!(po.successor(u, b), fresh.successor(u, b), "{u} → {b:?}");
-                        assert_eq!(po.predecessor(u, b), fresh.predecessor(u, b));
-                        for v in (0..po.chain_len(b) as u32).map(|i| NodeId::new(b, i)) {
-                            assert_eq!(po.reachable(u, v), fresh.reachable(u, v), "{u} → {v}");
-                        }
+        };
+        let dense = csst_trace::gen::RacyProgramCfg {
+            vars: 2,
+            lock_frac: 0.0,
+            ..sparse.clone()
+        };
+        for cfg in [sparse, dense] {
+            let trace = csst_trace::gen::racy_program(&cfg);
+            retirement_resets_the_base_order::<IncrementalCsst>(&trace);
+            retirement_resets_the_base_order::<Csst>(&trace);
+        }
+    }
+
+    /// Checks every cross-chain `successor`, `predecessor` and
+    /// `reachable` of `po`'s witnessed nodes against `other`.
+    fn assert_same_answers(po: &impl PartialOrderIndex, other: &impl PartialOrderIndex) {
+        for a in (0..po.chains() as u32).map(ThreadId) {
+            for u in (0..po.chain_len(a) as u32).map(|i| NodeId::new(a, i)) {
+                for b in (0..po.chains() as u32).map(ThreadId).filter(|&b| b != a) {
+                    assert_eq!(po.successor(u, b), other.successor(u, b), "{u} → {b:?}");
+                    assert_eq!(po.predecessor(u, b), other.predecessor(u, b));
+                    for v in (0..po.chain_len(b) as u32).map(|i| NodeId::new(b, i)) {
+                        assert_eq!(po.reachable(u, v), other.reachable(u, v), "{u} → {v}");
                     }
                 }
             }
         }
+    }
+
+    /// After every retirement the base order answers like a fresh index
+    /// grown to the same chain lengths. Once per window, after the next
+    /// window's first inserts, it also answers like a `GraphIndex` base
+    /// order fed the same stream: right after a retirement an emptied
+    /// adjacency can hide arrays the reset missed, but the new inserts
+    /// expose them.
+    fn retirement_resets_the_base_order<P: PartialOrderIndex>(trace: &csst_trace::Trace) {
+        let mut builder = BaseOrderBuilder::<P>::observing(Some(37));
+        let mut oracle = BaseOrderBuilder::<GraphIndex>::observing(Some(37));
+        let (mut checked, mut compared) = (0, 0);
+        let mut compare_next = false;
+        for (id, ev) in trace.iter_order() {
+            builder.feed(id.thread, ev.kind);
+            oracle.feed(id.thread, ev.kind);
+            if compare_next && builder.window_edges > 0 {
+                compare_next = false;
+                compared += 1;
+                assert_same_answers(builder.po(), oracle.po());
+            }
+            if !builder.window_full() {
+                continue;
+            }
+            builder.retire_window();
+            oracle.retire_window();
+            checked += 1;
+            compare_next = true;
+            let po = builder.po();
+            for a in (0..po.chains() as u32).map(ThreadId) {
+                assert_eq!(po.chain_len(a), builder.counts[a.index()] as usize);
+            }
+            assert_same_answers(po, &P::new());
+        }
         assert_eq!(checked, builder.stats().windows);
         assert!(checked >= 8 && builder.stats().deleted_edges > 0);
+        assert!(
+            compared >= 3,
+            "only {compared} of {checked} windows compared"
+        );
     }
 
     #[test]

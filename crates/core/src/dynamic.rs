@@ -12,8 +12,8 @@
 //! that crossing-path fixpoint by `O(k³)` suffix-minima operations; the
 //! implementation here reaches the same fixpoint with a **sparse
 //! worklist**: relaxations run only along chain pairs that currently
-//! hold at least one live edge (the adjacency maintained by
-//! [`EdgeHeapStore`]), and only from chains whose bound actually
+//! hold at least one live edge (the live-pair adjacency the pair matrix
+//! keeps over the arrays), and only from chains whose bound actually
 //! improved. On real traces most chain pairs are empty and the
 //! propagation converges after a handful of relaxations, so query cost
 //! tracks the *live* structure instead of the `k³` worst case — and
@@ -40,7 +40,7 @@
 //! free.
 
 use crate::error::PoError;
-use crate::heap::EdgeHeapStore;
+use crate::heap::PairHeaps;
 use crate::index::{NodeId, Pos, ThreadId, INF};
 use crate::matrix::PairMatrix;
 use crate::reach::PartialOrderIndex;
@@ -141,12 +141,12 @@ impl QueryScratch {
 /// structure.
 #[derive(Debug, Clone)]
 pub struct DynamicPo<S> {
-    arrays: PairMatrix<S>,
-    /// Edge heaps: per chain pair and source position, the multiset of
-    /// direct successors in the target chain. Flat: slots share the
-    /// matrix stride, so `(t1, t2)` resolves without hashing. Also owns
-    /// the live-pair adjacency the query worklist walks.
-    heaps: EdgeHeapStore,
+    /// The arrays, each with its pair's edge heaps as companion: per
+    /// source position, the multiset of direct successors in the
+    /// target chain. The matrix also keeps the live-pair adjacency the
+    /// query worklist walks; a pair is live exactly while one of its
+    /// heaps is non-empty, since each array entry is its heap's minimum.
+    arrays: PairMatrix<S, PairHeaps>,
     edges: usize,
     /// Number of live edges that go *backward* in position
     /// (`to.pos < from.pos`). While zero — true for every
@@ -187,7 +187,7 @@ impl<S: SuffixMinima> DynamicPo<S> {
     /// `stop_at = 0`, below which no bound can improve).
     ///
     /// Relaxations run only along live chain pairs
-    /// ([`EdgeHeapStore::out_neighbors`]) and only from chains whose
+    /// (the matrix's `out_neighbors`) and only from chains whose
     /// bound improved, so convergence costs `O(r·δ_out)` suffix-minima
     /// queries where `r` is the number of bound improvements (≤ `k²`,
     /// Lemma 4; a handful in practice) and `δ_out` the live
@@ -206,12 +206,12 @@ impl<S: SuffixMinima> DynamicPo<S> {
     /// A target chain that no live edge enters is answered before the
     /// worklist starts.
     fn forward_fixpoint(&self, t1: usize, j1: Pos, t2: usize, stop_at: Pos, exact: bool) -> Pos {
-        if self.heaps.in_neighbors(t2).is_empty() {
+        if self.arrays.in_neighbors(t2).is_empty() {
             return INF; // no live edge enters t2
         }
         let mut s = self.scratch.borrow_mut();
         s.begin(self.k());
-        for &t in self.heaps.out_neighbors(t1) {
+        for &t in self.arrays.out_neighbors(t1) {
             let t = t as usize;
             let v = self.arrays.get(t1, t).suffix_min(j1 as usize);
             if v != INF {
@@ -233,7 +233,7 @@ impl<S: SuffixMinima> DynamicPo<S> {
                     return s.get(t2).unwrap_or(INF); // nothing can land ≤ stop_at anymore
                 }
             }
-            for &tp in self.heaps.out_neighbors(t) {
+            for &tp in self.arrays.out_neighbors(t) {
                 let tp = tp as usize;
                 if tp == t1 {
                     continue;
@@ -264,7 +264,7 @@ impl<S: SuffixMinima> DynamicPo<S> {
 
     /// Latest node of chain `t2` that reaches `⟨t1, j1⟩` via at least
     /// one cross-chain edge (`None` if there is none): the symmetric
-    /// backward worklist over [`EdgeHeapStore::in_neighbors`], using
+    /// backward worklist over the matrix's `in_neighbors`, using
     /// `argleq` and maximizing bounds instead of minimizing. Pops the
     /// largest bound first; with no backward edges the popped bound is
     /// final (the backward dual of the Dijkstra argument in
@@ -272,12 +272,12 @@ impl<S: SuffixMinima> DynamicPo<S> {
     /// answers immediately. A target chain that no live edge leaves is
     /// answered before the worklist starts.
     fn predecessor_raw(&self, t1: usize, j1: Pos, t2: usize) -> Option<Pos> {
-        if self.heaps.out_neighbors(t2).is_empty() {
+        if self.arrays.out_neighbors(t2).is_empty() {
             return None; // no live edge leaves t2
         }
         let mut s = self.scratch.borrow_mut();
         s.begin(self.k());
-        for &t in self.heaps.in_neighbors(t1) {
+        for &t in self.arrays.in_neighbors(t1) {
             let t = t as usize;
             if let Some(v) = self.arrays.get(t, t1).argleq(j1) {
                 s.set(t, v as Pos);
@@ -290,7 +290,7 @@ impl<S: SuffixMinima> DynamicPo<S> {
             if dijkstra && t == t2 {
                 return Some(base); // popped bounds are final
             }
-            for &tp in self.heaps.in_neighbors(t) {
+            for &tp in self.arrays.in_neighbors(t) {
                 let tp = tp as usize;
                 if tp == t1 {
                     continue;
@@ -388,7 +388,6 @@ impl<S: SuffixMinima> PartialOrderIndex for DynamicPo<S> {
     fn new() -> Self {
         DynamicPo {
             arrays: PairMatrix::new(),
-            heaps: EdgeHeapStore::new(),
             edges: 0,
             backward_edges: 0,
             scratch: RefCell::default(),
@@ -396,12 +395,8 @@ impl<S: SuffixMinima> PartialOrderIndex for DynamicPo<S> {
     }
 
     fn with_capacity(chains: usize, chain_capacity: usize) -> Self {
-        let arrays = PairMatrix::with_capacity(chains, chain_capacity);
-        let mut heaps = EdgeHeapStore::new();
-        heaps.sync_kslots(arrays.kslots());
         DynamicPo {
-            arrays,
-            heaps,
+            arrays: PairMatrix::with_capacity(chains, chain_capacity),
             edges: 0,
             backward_edges: 0,
             scratch: RefCell::default(),
@@ -422,19 +417,17 @@ impl<S: SuffixMinima> PartialOrderIndex for DynamicPo<S> {
 
     fn ensure_chain(&mut self, chain: ThreadId) {
         self.arrays.ensure_chain(chain);
-        self.heaps.sync_kslots(self.arrays.kslots());
     }
 
     fn ensure_len(&mut self, chain: ThreadId, len: usize) {
         self.arrays.ensure_len(chain, len);
-        self.heaps.sync_kslots(self.arrays.kslots());
     }
 
     fn insert_edge_raw(&mut self, from: NodeId, to: NodeId) {
         let (t1, j1) = (from.thread.index(), from.pos);
         let (t2, j2) = (to.thread.index(), to.pos);
-        if self.heaps.insert(t1, t2, j1, j2) {
-            self.arrays.get_mut(t1, t2).update(j1 as usize, j2);
+        if self.arrays.companion_mut(t1, t2).insert(j1, j2) {
+            self.arrays.update(t1, t2, j1 as usize, j2);
         }
         if j2 < j1 {
             self.backward_edges += 1;
@@ -448,13 +441,12 @@ impl<S: SuffixMinima> PartialOrderIndex for DynamicPo<S> {
         if t1 >= self.k() || t2 >= self.k() {
             return Err(PoError::EdgeNotFound { from, to });
         }
-        let Some((old_min, new_min)) = self.heaps.remove(t1, t2, j1, j2) else {
+        let Some((old_min, new_min)) = self.arrays.companion_mut(t1, t2).remove(j1, j2) else {
             return Err(PoError::EdgeNotFound { from, to });
         };
         if old_min == Some(j2) && new_min != Some(j2) {
             self.arrays
-                .get_mut(t1, t2)
-                .update(j1 as usize, new_min.unwrap_or(INF));
+                .update(t1, t2, j1 as usize, new_min.unwrap_or(INF));
         }
         if j2 < j1 {
             self.backward_edges -= 1;
@@ -466,12 +458,7 @@ impl<S: SuffixMinima> PartialOrderIndex for DynamicPo<S> {
     /// Empties only the live pairs' arrays and heaps, in place: O(live
     /// pairs), where a rebuild would allocate all `k²` of them.
     fn clear_edges(&mut self) {
-        for t1 in 0..self.k() {
-            for &t2 in self.heaps.out_neighbors(t1) {
-                self.arrays.clear(t1, t2 as usize);
-            }
-        }
-        self.heaps.clear();
+        self.arrays.clear_edges();
         self.edges = 0;
         self.backward_edges = 0;
     }
@@ -524,14 +511,11 @@ impl<S: SuffixMinima> PartialOrderIndex for DynamicPo<S> {
     }
 
     fn memory_bytes(&self) -> usize {
-        // The store accounts for itself exactly: the flat slot vector
-        // (the analogue of the outer hash map this layout replaced,
-        // whose bucket overhead the old accounting missed) plus every
-        // pair's entry vector and spilled heap. The query engine's
-        // scratch is an O(k) side buffer but is charged too.
+        // The heaps are charged exactly: their slots in the matrix plus
+        // every pair's entry vector and spilled heap. The query
+        // engine's scratch is an O(k) side buffer but is charged too.
         std::mem::size_of::<Self>()
-            + self.arrays.memory_bytes()
-            + self.heaps.memory_bytes()
+            + self.arrays.memory_bytes(PairHeaps::memory_bytes)
             + self.scratch.borrow().memory_bytes()
     }
 }
@@ -671,6 +655,28 @@ mod tests {
         assert_eq!(po.successor(n(0, 0), ThreadId(1)), Some(20));
         po.delete_edge(n(0, 3), n(1, 20)).unwrap();
         assert_eq!(po.successor(n(0, 0), ThreadId(1)), None);
+    }
+
+    #[test]
+    fn heap_transitions_drive_the_pair_adjacency() {
+        let out = |po: &Csst| {
+            let mut v = po.arrays.out_neighbors(0).to_vec();
+            v.sort_unstable();
+            v
+        };
+        let mut po = Csst::with_capacity(3, 50);
+        po.insert_edge(n(0, 3), n(1, 20)).unwrap();
+        po.insert_edge(n(0, 3), n(1, 10)).unwrap(); // parallel, same position
+        po.insert_edge(n(0, 7), n(2, 9)).unwrap();
+        assert_eq!(out(&po), vec![1, 2]);
+        po.delete_edge(n(0, 3), n(1, 10)).unwrap();
+        assert_eq!(out(&po), vec![1, 2], "a parallel edge keeps the pair live");
+        po.delete_edge(n(0, 3), n(1, 20)).unwrap();
+        assert_eq!(out(&po), vec![2], "the last live edge drops the pair");
+        assert!(po.arrays.in_neighbors(1).is_empty());
+        po.insert_edge(n(0, 5), n(1, 30)).unwrap();
+        assert_eq!(out(&po), vec![1, 2], "re-inserting adds the pair back once");
+        assert_eq!(po.arrays.in_neighbors(1), &[0]);
     }
 
     #[test]

@@ -11,11 +11,11 @@
 //! edge per node and target chain), [`MinMultiset`] is
 //! **allocation-lean**: zero or one stored value lives inline with no
 //! heap allocation at all, and only genuinely parallel edges spill
-//! into a sorted `Vec`. The crate-private `EdgeHeapStore` packs the
+//! into a sorted `Vec`. The crate-private `PairHeaps` packs the
 //! per-node heaps of one chain pair into a single position-sorted
-//! vector — the flat layout [`DynamicPo`](crate::DynamicPo) indexes
-//! directly by chain pair, with no hash lookups on the insert/delete
-//! hot path.
+//! vector; [`DynamicPo`](crate::DynamicPo) keeps one per chain pair as
+//! the companion of that pair's suffix-minima array in its pair matrix,
+//! so the insert/delete hot path does no hash lookups.
 
 use crate::index::Pos;
 
@@ -163,14 +163,6 @@ pub(crate) struct PairHeaps {
 }
 
 impl PairHeaps {
-    /// Number of positions currently holding at least one live edge
-    /// (tombstones excluded). The pair participates in the query
-    /// engine's adjacency exactly while this is non-zero.
-    #[inline]
-    pub(crate) fn live_count(&self) -> usize {
-        self.entries.len() - self.tombs
-    }
-
     /// Adds edge value `v` to the heap at source position `pos`;
     /// returns `true` when `v` became the unique new minimum (i.e. the
     /// suffix-minima array must be updated).
@@ -233,149 +225,6 @@ impl PairHeaps {
                 .entries
                 .iter()
                 .map(|e| e.1.memory_bytes())
-                .sum::<usize>()
-    }
-}
-
-/// Flat store of all per-chain-pair edge heaps of a
-/// [`DynamicPo`](crate::DynamicPo), laid out exactly like the
-/// suffix-minima matrix: slot `t1 * kslots + t2` holds the heaps of
-/// pair `(t1, t2)`. Lookup is two integer multiplications — the nested
-/// `HashMap<(u32, u32), HashMap<Pos, _>>` this replaces paid two
-/// SipHash probes per insert/delete.
-///
-/// The store additionally maintains the **live-pair adjacency**: per
-/// chain, the unsorted lists of counterpart chains whose pair currently
-/// holds at least one live edge. The worklist query engine of
-/// [`DynamicPo`](crate::DynamicPo) walks these lists instead of all
-/// `k²` chain pairs, which is what makes query cost proportional to the
-/// sparse structure actually present. Membership transitions happen
-/// only here — in [`insert`](Self::insert) when a pair gains its first
-/// live entry and in [`remove`](Self::remove) when it loses its last —
-/// so the adjacency can never drift from the heaps (compaction only
-/// drops tombstones, which were already excluded).
-#[derive(Debug, Clone, Default)]
-pub(crate) struct EdgeHeapStore {
-    /// Allocated stride; kept identical to the owning `PairMatrix`'s.
-    kslots: usize,
-    /// `kslots × kslots` pair heaps; diagonal and unwitnessed slots
-    /// stay empty (and cost only the inline struct).
-    pairs: Vec<PairHeaps>,
-    /// Per source chain `t1`: every `t2` with a live pair `(t1, t2)`.
-    out_adj: Vec<Vec<u32>>,
-    /// Per target chain `t2`: every `t1` with a live pair `(t1, t2)`.
-    in_adj: Vec<Vec<u32>>,
-}
-
-impl EdgeHeapStore {
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
-    /// Re-strides the store to `new_kslots` (amortized-doubling growth,
-    /// mirroring `PairMatrix::grow_kslots`). No-op when already wide
-    /// enough.
-    pub(crate) fn sync_kslots(&mut self, new_kslots: usize) {
-        if new_kslots <= self.kslots {
-            return;
-        }
-        let old = self.kslots;
-        let mut pairs = Vec::with_capacity(new_kslots * new_kslots);
-        pairs.resize_with(new_kslots * new_kslots, PairHeaps::default);
-        for (i, p) in std::mem::take(&mut self.pairs).into_iter().enumerate() {
-            let (t1, t2) = (i / old, i % old);
-            pairs[t1 * new_kslots + t2] = p;
-        }
-        self.pairs = pairs;
-        // Adjacency entries are chain indices, not slots: growth only
-        // appends empty lists for the new chains.
-        self.out_adj.resize_with(new_kslots, Vec::new);
-        self.in_adj.resize_with(new_kslots, Vec::new);
-        self.kslots = new_kslots;
-    }
-
-    /// Adds edge value `v` to the heap of pair `(t1, t2)` at source
-    /// position `pos`, maintaining the live-pair adjacency; returns
-    /// `true` when `v` became the unique new minimum (i.e. the
-    /// suffix-minima array must be updated).
-    #[inline]
-    pub(crate) fn insert(&mut self, t1: usize, t2: usize, pos: Pos, v: Pos) -> bool {
-        debug_assert!(t1 < self.kslots && t2 < self.kslots);
-        let pair = &mut self.pairs[t1 * self.kslots + t2];
-        let was_dead = pair.live_count() == 0;
-        let improved = pair.insert(pos, v);
-        if was_dead {
-            self.out_adj[t1].push(t2 as u32);
-            self.in_adj[t2].push(t1 as u32);
-        }
-        improved
-    }
-
-    /// Removes one occurrence of edge value `v` from the heap of pair
-    /// `(t1, t2)` at position `pos`, maintaining the live-pair
-    /// adjacency. Returns `Some((old_min, new_min))` of that heap when
-    /// the edge was present, `None` otherwise.
-    #[inline]
-    pub(crate) fn remove(
-        &mut self,
-        t1: usize,
-        t2: usize,
-        pos: Pos,
-        v: Pos,
-    ) -> Option<(Option<Pos>, Option<Pos>)> {
-        debug_assert!(t1 < self.kslots && t2 < self.kslots);
-        let pair = &mut self.pairs[t1 * self.kslots + t2];
-        let removed = pair.remove(pos, v)?;
-        if pair.live_count() == 0 {
-            // Rare transition (last live edge of the pair): a linear
-            // scan over the short chain-degree list is cheaper than
-            // maintaining positional indexes on the hot insert path.
-            let o = &mut self.out_adj[t1];
-            o.swap_remove(o.iter().position(|&t| t == t2 as u32).expect("in out_adj"));
-            let i = &mut self.in_adj[t2];
-            i.swap_remove(i.iter().position(|&t| t == t1 as u32).expect("in in_adj"));
-        }
-        Some(removed)
-    }
-
-    /// Drops every edge, keeping the stride: resets only the live pairs
-    /// (found through the adjacency) and empties the adjacency lists.
-    /// A pair whose last edge was removed is already empty.
-    pub(crate) fn clear(&mut self) {
-        for (t1, out) in self.out_adj.iter_mut().enumerate() {
-            for t2 in out.drain(..) {
-                self.pairs[t1 * self.kslots + t2 as usize] = PairHeaps::default();
-            }
-        }
-        self.in_adj.iter_mut().for_each(Vec::clear);
-    }
-
-    /// Chains `t2` whose pair `(t1, t2)` holds at least one live edge
-    /// (unsorted). Empty for unwitnessed chains.
-    #[inline]
-    pub(crate) fn out_neighbors(&self, t1: usize) -> &[u32] {
-        self.out_adj.get(t1).map_or(&[], Vec::as_slice)
-    }
-
-    /// Chains `t1` whose pair `(t1, t2)` holds at least one live edge
-    /// (unsorted). Empty for unwitnessed chains.
-    #[inline]
-    pub(crate) fn in_neighbors(&self, t2: usize) -> &[u32] {
-        self.in_adj.get(t2).map_or(&[], Vec::as_slice)
-    }
-
-    /// Exact heap footprint: the slot vector, every pair's heaps, and
-    /// the adjacency lists.
-    pub(crate) fn memory_bytes(&self) -> usize {
-        self.pairs.capacity() * std::mem::size_of::<PairHeaps>()
-            + self.pairs.iter().map(|p| p.memory_bytes()).sum::<usize>()
-            + self
-                .out_adj
-                .iter()
-                .chain(self.in_adj.iter())
-                .map(|a| {
-                    std::mem::size_of::<Vec<u32>>() + a.capacity() * std::mem::size_of::<u32>()
-                })
                 .sum::<usize>()
     }
 }
@@ -489,72 +338,25 @@ mod tests {
     }
 
     #[test]
-    fn store_restride_preserves_pairs_and_adjacency() {
-        let mut s = EdgeHeapStore::new();
-        s.sync_kslots(2);
-        s.insert(0, 1, 7, 3);
-        s.insert(1, 0, 2, 9);
-        s.sync_kslots(8);
-        assert_eq!(s.out_neighbors(0), &[1]);
-        assert_eq!(s.in_neighbors(0), &[1]);
-        assert_eq!(s.remove(0, 1, 7, 3), Some((Some(3), None)));
-        assert_eq!(s.remove(1, 0, 2, 9), Some((Some(9), None)));
-        assert_eq!(s.remove(5, 6, 0, 0), None);
-        assert!(s.out_neighbors(0).is_empty());
-        assert!(s.in_neighbors(1).is_empty());
-    }
-
-    #[test]
-    fn adjacency_tracks_live_pairs_only() {
-        let mut s = EdgeHeapStore::new();
-        s.sync_kslots(4);
-        assert!(s.out_neighbors(0).is_empty());
-        // First live entry of a pair adds it once; more entries don't.
-        s.insert(0, 1, 10, 50);
-        s.insert(0, 1, 11, 60);
-        s.insert(0, 2, 3, 7);
-        let mut out: Vec<u32> = s.out_neighbors(0).to_vec();
-        out.sort_unstable();
-        assert_eq!(out, vec![1, 2]);
-        assert_eq!(s.in_neighbors(1), &[0]);
-        assert_eq!(s.in_neighbors(2), &[0]);
-        // Draining one position leaves the pair live (tombstone).
-        assert!(s.remove(0, 1, 10, 50).is_some());
-        assert_eq!(s.in_neighbors(1), &[0]);
-        // Draining the last live entry removes the pair from both sides.
-        assert!(s.remove(0, 1, 11, 60).is_some());
-        assert_eq!(s.out_neighbors(0), &[2]);
-        assert!(s.in_neighbors(1).is_empty());
-        // Removing an absent edge never touches the adjacency.
-        assert!(s.remove(0, 1, 11, 60).is_none());
-        assert_eq!(s.out_neighbors(0), &[2]);
-        // Re-inserting resurrects the pair exactly once.
-        s.insert(0, 1, 5, 9);
-        let mut out: Vec<u32> = s.out_neighbors(0).to_vec();
-        out.sort_unstable();
-        assert_eq!(out, vec![1, 2]);
-    }
-
-    #[test]
-    fn out_of_range_neighbor_queries_are_empty() {
-        let s = EdgeHeapStore::new();
-        assert!(s.out_neighbors(3).is_empty());
-        assert!(s.in_neighbors(0).is_empty());
-    }
-
-    #[test]
     fn pair_heaps_live_count_excludes_tombstones() {
+        // Live positions are the entries minus the tombstones.
+        let live = |p: &PairHeaps| p.entries.len() - p.tombs;
         let mut p = PairHeaps::default();
-        assert_eq!(p.live_count(), 0);
+        assert_eq!(live(&p), 0);
         p.insert(1, 10);
         p.insert(2, 20);
         p.insert(3, 30);
-        assert_eq!(p.live_count(), 3);
+        assert_eq!(live(&p), 3);
         p.remove(2, 20); // tombstoned (1/3 dead: no compaction yet)
-        assert_eq!(p.live_count(), 2);
+        assert_eq!((p.entries.len(), p.tombs), (3, 1));
+        assert!(p.insert(2, 25), "a tombstone revives with a new minimum");
+        assert_eq!((p.entries.len(), p.tombs), (3, 0));
+        p.remove(2, 25);
+        assert_eq!(live(&p), 2);
         p.remove(1, 10); // 2/3 dead: compacted away
-        assert_eq!(p.live_count(), 1);
+        assert_eq!((p.entries.len(), p.tombs), (1, 0));
         p.remove(3, 30);
-        assert_eq!(p.live_count(), 0);
+        assert_eq!(live(&p), 0);
+        assert_eq!(p, PairHeaps::default(), "a drained pair is a default pair");
     }
 }

@@ -40,18 +40,11 @@ use crate::suffix::SuffixMinima;
 #[derive(Debug, Clone)]
 pub struct IncrementalPo<S> {
     /// Transitively closed suffix-minima arrays (`(t1, t2)` is
-    /// `A_{t1}^{t2}`).
+    /// `A_{t1}^{t2}`), with the live-pair adjacency the closure walks.
+    /// Inserts never erase an entry, so a pair leaves the adjacency
+    /// only when the edges are cleared.
     arrays: PairMatrix<S>,
     edges: usize,
-    /// Stride of `pair_live` (kept equal to the matrix's `kslots`).
-    adj_stride: usize,
-    /// `pair_live[t1 * adj_stride + t2]`: array `A_{t1}^{t2}` has at
-    /// least one entry. Insert-only, so pairs never go dead again.
-    pair_live: Vec<bool>,
-    /// Per target chain `t2`: every `t1` with a live `A_{t1}^{t2}`.
-    src_adj: Vec<Vec<u32>>,
-    /// Per source chain `t1`: every `t2` with a live `A_{t1}^{t2}`.
-    tgt_adj: Vec<Vec<u32>>,
     /// Reusable closure frontiers: `(chain, position)` lists of the
     /// predecessors of `from` / successors of `to`, rebuilt per insert
     /// without allocating.
@@ -97,37 +90,6 @@ impl<S: SuffixMinima> IncrementalPo<S> {
     fn predecessor_raw(&self, t1: usize, j1: Pos, t2: usize) -> Option<Pos> {
         self.arrays.get(t2, t1).argleq(j1).map(|p| p as Pos)
     }
-
-    /// Re-sizes the pair adjacency after the matrix grew (amortized
-    /// doubling, mirroring the matrix stride). No-op otherwise.
-    fn sync_adj(&mut self) {
-        let kslots = self.arrays.kslots();
-        if kslots <= self.adj_stride {
-            return;
-        }
-        let old = self.adj_stride;
-        let mut live = vec![false; kslots * kslots];
-        for (i, &l) in self.pair_live.iter().enumerate() {
-            if l {
-                live[(i / old) * kslots + (i % old)] = true;
-            }
-        }
-        self.pair_live = live;
-        self.src_adj.resize_with(kslots, Vec::new);
-        self.tgt_adj.resize_with(kslots, Vec::new);
-        self.adj_stride = kslots;
-    }
-
-    /// Records that `A_{t1}^{t2}` gained its first entry.
-    #[inline]
-    fn mark_pair(&mut self, t1: usize, t2: usize) {
-        let slot = &mut self.pair_live[t1 * self.adj_stride + t2];
-        if !*slot {
-            *slot = true;
-            self.src_adj[t2].push(t1 as u32);
-            self.tgt_adj[t1].push(t2 as u32);
-        }
-    }
 }
 
 impl<S: SuffixMinima> PartialOrderIndex for IncrementalPo<S> {
@@ -135,28 +97,18 @@ impl<S: SuffixMinima> PartialOrderIndex for IncrementalPo<S> {
         IncrementalPo {
             arrays: PairMatrix::new(),
             edges: 0,
-            adj_stride: 0,
-            pair_live: Vec::new(),
-            src_adj: Vec::new(),
-            tgt_adj: Vec::new(),
             preds_scratch: Vec::new(),
             succs_scratch: Vec::new(),
         }
     }
 
     fn with_capacity(chains: usize, chain_capacity: usize) -> Self {
-        let mut po = IncrementalPo {
+        IncrementalPo {
             arrays: PairMatrix::with_capacity(chains, chain_capacity),
             edges: 0,
-            adj_stride: 0,
-            pair_live: Vec::new(),
-            src_adj: Vec::new(),
-            tgt_adj: Vec::new(),
             preds_scratch: Vec::new(),
             succs_scratch: Vec::new(),
-        };
-        po.sync_adj();
-        po
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -178,12 +130,10 @@ impl<S: SuffixMinima> PartialOrderIndex for IncrementalPo<S> {
 
     fn ensure_chain(&mut self, chain: ThreadId) {
         self.arrays.ensure_chain(chain);
-        self.sync_adj();
     }
 
     fn ensure_len(&mut self, chain: ThreadId, len: usize) {
         self.arrays.ensure_len(chain, len);
-        self.sync_adj();
     }
 
     /// Inserts `from → to` and closes the arrays transitively
@@ -191,10 +141,11 @@ impl<S: SuffixMinima> PartialOrderIndex for IncrementalPo<S> {
     /// predecessor of `from` in `t1'` gets connected to the earliest
     /// successor of `to` in `t2'` unless a path already exists.
     ///
-    /// The frontiers are computed over *live* pairs only — a chain can
-    /// hold a predecessor of `from` only if its array into `from`'s
-    /// chain is non-empty, and a successor of `to` only if `to`'s
-    /// chain has an array into it — and are built in reusable scratch
+    /// The frontiers are computed over *live* pairs only, read from the
+    /// matrix's adjacency — a chain can hold a predecessor of `from`
+    /// only if its array into `from`'s chain is non-empty, and a
+    /// successor of `to` only if `to`'s chain has a non-empty array
+    /// into it — and are built in reusable scratch
     /// buffers, so the insert allocates nothing in steady state. The
     /// relaxation set (and therefore every array state) is identical
     /// to the dense sweep's: pairs it skips could only have produced
@@ -219,7 +170,7 @@ impl<S: SuffixMinima> PartialOrderIndex for IncrementalPo<S> {
         let mut preds = std::mem::take(&mut self.preds_scratch);
         preds.clear();
         preds.push((t1 as u32, j1));
-        for &t in &self.src_adj[t1] {
+        for &t in self.arrays.in_neighbors(t1) {
             if let Some(p) = self.arrays.get(t as usize, t1).argleq(j1) {
                 preds.push((t, p as Pos));
             }
@@ -227,7 +178,7 @@ impl<S: SuffixMinima> PartialOrderIndex for IncrementalPo<S> {
         let mut succs = std::mem::take(&mut self.succs_scratch);
         succs.clear();
         succs.push((t2 as u32, j2));
-        for &t in &self.tgt_adj[t2] {
+        for &t in self.arrays.out_neighbors(t2) {
             let v = self.arrays.get(t2, t as usize).suffix_min(j2 as usize);
             if v != INF {
                 succs.push((t, v));
@@ -241,8 +192,7 @@ impl<S: SuffixMinima> PartialOrderIndex for IncrementalPo<S> {
                     continue;
                 }
                 if self.successor_raw(tp1, jp1, tp2) > jp2 {
-                    self.arrays.get_mut(tp1, tp2).update(jp1 as usize, jp2);
-                    self.mark_pair(tp1, tp2);
+                    self.arrays.update(tp1, tp2, jp1 as usize, jp2);
                 }
             }
         }
@@ -254,13 +204,7 @@ impl<S: SuffixMinima> PartialOrderIndex for IncrementalPo<S> {
     /// Empties only the live arrays, in place: O(live pairs), where a
     /// rebuild would allocate all `k²` of them.
     fn clear_edges(&mut self) {
-        for t1 in 0..self.tgt_adj.len() {
-            for t2 in std::mem::take(&mut self.tgt_adj[t1]) {
-                self.arrays.clear(t1, t2 as usize);
-                self.pair_live[t1 * self.adj_stride + t2 as usize] = false;
-            }
-        }
-        self.src_adj.iter_mut().for_each(Vec::clear);
+        self.arrays.clear_edges();
         self.edges = 0;
     }
 
@@ -298,18 +242,9 @@ impl<S: SuffixMinima> PartialOrderIndex for IncrementalPo<S> {
     }
 
     fn memory_bytes(&self) -> usize {
-        let adj = self.pair_live.capacity()
-            + self
-                .src_adj
-                .iter()
-                .chain(self.tgt_adj.iter())
-                .map(|a| {
-                    std::mem::size_of::<Vec<u32>>() + a.capacity() * std::mem::size_of::<u32>()
-                })
-                .sum::<usize>()
-            + (self.preds_scratch.capacity() + self.succs_scratch.capacity())
-                * std::mem::size_of::<(u32, Pos)>();
-        std::mem::size_of::<Self>() + self.arrays.memory_bytes() + adj
+        let scratch = (self.preds_scratch.capacity() + self.succs_scratch.capacity())
+            * std::mem::size_of::<(u32, Pos)>();
+        std::mem::size_of::<Self>() + self.arrays.memory_bytes(|_| 0) + scratch
     }
 }
 

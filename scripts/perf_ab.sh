@@ -18,8 +18,11 @@
 #   gain        B won at least 9 of 10 pairs and its median beats A's
 #               by more than A's interquartile range;
 #   worse       B's median is worse than A's by more than the bound;
-#   unresolved  A's interquartile range, relative to its median, is
-#               wider than the bound, so the runs cannot tell;
+#   better      A's interquartile range, relative to its median, is
+#               wider than the bound, but every run of B beats every run
+#               of A (strictly, in the metric's direction);
+#   unresolved  A's interquartile range is that wide and B's runs do not
+#               all beat A's, so the runs cannot tell;
 #   within      otherwise.
 # Per-layer metrics have no bound and print `-`. The script exits
 # non-zero if any run fails or reports `correct: false` or a nonzero
@@ -97,9 +100,10 @@ for i in range(1, pairs + 1):
                        f"failed={res.get('failed')}")
         runs[side].append({k: v["value"] for k, v in res["metrics"].items()})
 
-def verdict(name, wins, qa1, ma, qa3, mb):
+def verdict(name, wins, a, b):
     if name not in bound:
         return "-"
+    (qa1, ma, qa3), mb = quartiles(a), quartiles(b)[1]
     # Positive gap: B is better than A.
     gap = ma - mb if better[name] == "lower" else mb - ma
     if wins * 10 >= 9 * pairs and gap > qa3 - qa1:
@@ -107,6 +111,10 @@ def verdict(name, wins, qa1, ma, qa3, mb):
     if ma and -gap / ma > bound[name]:
         return "worse"
     if ma and (qa3 - qa1) / ma > bound[name]:
+        if better[name] == "lower" and max(b) < min(a):
+            return "better"
+        if better[name] == "higher" and min(b) > max(a):
+            return "better"
         return "unresolved"
     return "within"
 
@@ -134,7 +142,7 @@ for name in runs["a"][0]:
     else:
         won = None
     wins = "-" if won is None else f"{won}/{pairs}"
-    v = verdict(name, won, qa1, ma, qa3, mb)
+    v = verdict(name, won, a, b)
     print(f"{name:<34} {f'{ma:.4g} [{qa1:.4g}, {qa3:.4g}]':>32} "
           f"{f'{mb:.4g} [{qb1:.4g}, {qb3:.4g}]':>32} {change:>8} {wins:>7} {v:>10}")
 if bad:
