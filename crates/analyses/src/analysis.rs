@@ -21,8 +21,9 @@
 //!   `window: Some(n)` in their configuration, the stream is analyzed
 //!   as consecutive *tumbling* windows of `n` events, candidates are
 //!   emitted per window, and retirement resets the base order to a
-//!   fresh index, dropping the window's edges, so peak buffered events
-//!   never exceed `n`.
+//!   fresh index, dropping the window's edges. The base order speaks
+//!   window-local ids, so neither peak buffered events nor any chain
+//!   of the index exceed `n`.
 //!
 //! Every batch entry point (`predict`, `detect`, `check`, `generate`,
 //! `analyze`) is a thin wrapper that streams the given trace through

@@ -15,10 +15,10 @@
 //!
 //! `--window N` bounds the predictive analyses' memory: the trace is
 //! analyzed as consecutive `N`-event windows, each window is retired by
-//! resetting its base order to a fresh index (sparse index required:
-//! `csst` or `graph`), and peak buffered events never exceed `N`. Windowing is *sound per window* — every report is witnessed
-//! within its own window — but reports spanning window boundaries are
-//! missed.
+//! resetting its base order to a fresh index, and neither the buffered
+//! events nor any chain of the index outgrow `N`, on every index.
+//! Windowing is *sound per window* — every report is witnessed within
+//! its own window — but reports spanning window boundaries are missed.
 //!
 //! `--index csst` puts each index on the CSST variant its traffic
 //! favours, windowed or not (see [`IndexKind::Csst`]): hb, c11 and
@@ -27,8 +27,8 @@
 //!
 //! The analysis session is opened before the trace is read: an unknown
 //! format, or an index or window the analysis cannot take (`hb
-//! --window`, `--window` on `st`/`vc`, `linearizability` on an
-//! insert-only index), exits 2 without opening the file. On success the
+//! --window`, `linearizability` on an insert-only index), exits 2
+//! without opening the file. On success the
 //! whole file is decoded, the first line on stderr is `parsed N events
 //! across M threads`, and the events are then fed to the session — the
 //! same [`Session`](csst_analyses::registry::Session) a `csst-serve`
@@ -58,8 +58,7 @@ fn usage() -> ExitCode {
          --window N: bounded-memory mode — the trace is analyzed as consecutive\n\
          \x20   N-event windows (sound per window: reports never span a window\n\
          \x20   boundary and each is witnessed within its own window; reports\n\
-         \x20   beyond the window are missed). Needs a sparse index (csst|graph):\n\
-         \x20   st and vc size their storage by global position.\n\
+         \x20   beyond the window are missed).\n\
          --index csst: hb, c11 and linearizability run the fully dynamic\n\
          \x20   CSST; other base orders and all witness closures run the\n\
          \x20   incremental CSST.",

@@ -187,8 +187,12 @@ impl<P: PartialOrderIndex> Analysis for C11Detector<P> {
             }
             EventKind::Read { var, .. } | EventKind::Write { var, .. } => {
                 let is_write = matches!(event, EventKind::Write { .. });
+                let found = self.races.len();
                 self.plain
                     .on_access(self.builder.po(), id, var, is_write, &mut self.races);
+                for (a, b) in &mut self.races[found..] {
+                    (*a, *b) = (self.builder.to_global(*a), self.builder.to_global(*b));
+                }
             }
             _ => {}
         }

@@ -33,7 +33,7 @@
 //! assert_eq!(report.deadlocks.len(), 1);
 //! ```
 
-use crate::common::{BaseOrderBuilder, WindowIndex, WindowStats};
+use crate::common::{BaseOrderBuilder, WindowStats};
 use crate::saturation::{witness_co_enabled, ClosureCtx, SaturationCfg};
 use crate::Analysis;
 use csst_core::{NodeId, PartialOrderIndex, ThreadId};
@@ -140,11 +140,16 @@ pub struct DeadlockPredictor<P> {
 
 impl<P: PartialOrderIndex> DeadlockPredictor<P> {
     fn analyze_window(&mut self) {
-        let (trace, win) = self.builder.split();
+        let (trace, po) = (self.builder.buffered(), self.builder.po());
         if trace.total_events() == 0 {
             return;
         }
         let ctx = ClosureCtx::new(trace, None);
+        let globalize = |n: &Nesting| Nesting {
+            outer_acq: self.builder.to_global(n.outer_acq),
+            inner_acq: self.builder.to_global(n.inner_acq),
+            ..*n
+        };
 
         let all = nestings(trace);
         // Group by unordered lock pair.
@@ -182,12 +187,13 @@ impl<P: PartialOrderIndex> DeadlockPredictor<P> {
                         continue;
                     }
                     self.patterns += 1;
-                    let key = (win.to_global(a.inner_acq), win.to_global(b.inner_acq));
-                    if witness(&win, &ctx, &self.cfg.saturation, a, b) && self.reported.insert(key)
+                    let (ga, gb) = (globalize(a), globalize(b));
+                    if witness(po, &ctx, &self.cfg.saturation, a, b)
+                        && self.reported.insert((ga.inner_acq, gb.inner_acq))
                     {
                         self.deadlocks.push(Deadlock {
-                            first: globalize(&win, a),
-                            second: globalize(&win, b),
+                            first: ga,
+                            second: gb,
                         });
                     }
                 }
@@ -235,16 +241,6 @@ pub fn predict<P: PartialOrderIndex>(trace: &Trace, cfg: &DeadlockCfg) -> Deadlo
     DeadlockPredictor::<P>::run(trace, cfg.clone())
 }
 
-/// Translates a window-local nesting into global event ids.
-fn globalize<P: PartialOrderIndex>(win: &WindowIndex<'_, P>, n: &Nesting) -> Nesting {
-    Nesting {
-        outer: n.outer,
-        inner: n.inner,
-        outer_acq: win.to_global(n.outer_acq),
-        inner_acq: win.to_global(n.inner_acq),
-    }
-}
-
 /// `true` if both inner acquisitions happen while holding a common lock
 /// other than the inverted pair itself.
 fn guarded(trace: &Trace, a: &Nesting, b: &Nesting) -> bool {
@@ -270,7 +266,7 @@ fn guarded(trace: &Trace, a: &Nesting, b: &Nesting) -> bool {
 /// deadlock semantics. `base` filters ordered pairs; the fresh witness
 /// index is built over `P`.
 fn witness<P: PartialOrderIndex>(
-    base: &WindowIndex<'_, P>,
+    base: &P,
     ctx: &ClosureCtx<'_>,
     sat: &SaturationCfg,
     a: &Nesting,

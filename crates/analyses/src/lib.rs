@@ -69,4 +69,4 @@ pub mod tso;
 pub mod uaf;
 
 pub use analysis::Analysis;
-pub use common::{BaseOrderBuilder, OrderOutcome, WindowIndex, WindowStats};
+pub use common::{BaseOrderBuilder, OrderOutcome, WindowStats};

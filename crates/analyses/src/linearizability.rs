@@ -184,15 +184,14 @@ pub struct LinAnalyzer<P> {
     builder: BaseOrderBuilder<P>,
     /// Global arrival counter (the trace position of batch runs).
     arrival: u64,
-    /// Invoked but not yet responded operations.
+    /// Invoked but not yet responded operations (global invoke ids).
     pending: HashMap<OpId, (NodeId, u64, Method, u64)>,
     /// Completed operations of the current window.
     ops: Vec<CompletedOp>,
-    /// Indices into `ops` per thread, in completion order.
+    /// Indices into `ops` per thread, in completion order: the op-level
+    /// node of the next completion of thread `t` is
+    /// `⟨t, per_thread[t].len()⟩`.
     per_thread: Vec<Vec<usize>>,
-    /// Retired operations per thread: the op-level node of the next
-    /// completion of thread `t` is `⟨t, op_base[t] + window ops⟩`.
-    op_base: Vec<u32>,
     /// Specification state carried across windows (the set contents
     /// along the committed linearization witness).
     set: HashSet<u64>,
@@ -216,7 +215,6 @@ impl<P: PartialOrderIndex> LinAnalyzer<P> {
         let k = self.per_thread.len();
         let ops = &self.ops;
         let per_thread = &self.per_thread;
-        let op_base = &self.op_base;
         let po = self.builder.po_mut();
         let set = &mut self.set;
         // Window-local cursors: committed operations per thread.
@@ -251,30 +249,18 @@ impl<P: PartialOrderIndex> LinAnalyzer<P> {
         let mut best_blocked: Vec<OpId> = Vec::new();
 
         // Enumerate current frontier candidates (per-thread cursor ops
-        // with all cross-thread predecessors executed). Predecessor
-        // positions are global op positions, hence the `op_base`
-        // offsets.
+        // with all cross-thread predecessors executed).
         let frontier = |po: &P, cursor: &[usize]| {
             let mut c = Vec::new();
-            #[allow(clippy::needless_range_loop)] // t indexes three tables at once
             for t in 0..k {
                 let Some(&i) = per_thread[t].get(cursor[t]) else {
                     continue;
                 };
                 let node = ops[i].op.node;
-                let mut ready = true;
-                #[allow(clippy::needless_range_loop)] // t2 indexes cursor and op_base
-                for t2 in 0..k {
-                    if t2 == t {
-                        continue;
-                    }
-                    if let Some(p) = po.predecessor(node, ThreadId(t2 as u32)) {
-                        if p as usize >= op_base[t2] as usize + cursor[t2] {
-                            ready = false;
-                            break;
-                        }
-                    }
-                }
+                let ready = (0..k).filter(|&t2| t2 != t).all(|t2| {
+                    po.predecessor(node, ThreadId(t2 as u32))
+                        .is_none_or(|p| (p as usize) < cursor[t2])
+                });
                 if ready {
                     c.push(i);
                 }
@@ -459,14 +445,11 @@ impl<P: PartialOrderIndex> LinAnalyzer<P> {
         self.verdict = Some(verdict);
     }
 
-    /// Retires the searched window: deletes the logged real-time edges
-    /// and advances the per-thread operation offsets.
+    /// Retires the searched window: drops the logged real-time edges,
+    /// and the next window's op-level nodes restart at 0.
     fn retire(&mut self) {
         self.builder.retire_window();
-        for (t, list) in self.per_thread.iter_mut().enumerate() {
-            self.op_base[t] += list.len() as u32;
-            list.clear();
-        }
+        self.per_thread.iter_mut().for_each(Vec::clear);
         self.ops.clear();
     }
 }
@@ -488,7 +471,6 @@ impl<P: PartialOrderIndex> Analysis for LinAnalyzer<P> {
             pending: HashMap::new(),
             ops: Vec::new(),
             per_thread: Vec::new(),
-            op_base: Vec::new(),
             set: HashSet::new(),
             verdict: None,
             lin_order: Vec::new(),
@@ -500,7 +482,8 @@ impl<P: PartialOrderIndex> Analysis for LinAnalyzer<P> {
     }
 
     fn feed(&mut self, thread: ThreadId, event: EventKind) {
-        let id = self.builder.feed(thread, event);
+        let local = self.builder.feed(thread, event);
+        let id = self.builder.to_global(local);
         let pos = self.arrival;
         self.arrival += 1;
         match event {
@@ -561,12 +544,8 @@ impl<P: PartialOrderIndex> LinAnalyzer<P> {
         let t = invoke.thread;
         if t.index() >= self.per_thread.len() {
             self.per_thread.resize(t.index() + 1, Vec::new());
-            self.op_base.resize(t.index() + 1, 0);
         }
-        let node = NodeId::new(
-            t,
-            self.op_base[t.index()] + self.per_thread[t.index()].len() as u32,
-        );
+        let node = NodeId::new(t, self.per_thread[t.index()].len() as u32);
         // Real-time order: one edge from the latest op of every other
         // thread that responded before this op invoked (earlier ones
         // follow transitively through the chain). Operations of retired

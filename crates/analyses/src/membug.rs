@@ -112,7 +112,7 @@ pub struct MemBugPredictor<P> {
 
 impl<P: PartialOrderIndex> MemBugPredictor<P> {
     fn analyze_window(&mut self) {
-        let (trace, win) = self.builder.split();
+        let (trace, po) = (self.builder.buffered(), self.builder.po());
         if trace.total_events() == 0 {
             return;
         }
@@ -160,7 +160,7 @@ impl<P: PartialOrderIndex> MemBugPredictor<P> {
                     probes.push((u, f));
                     probes.push((f, u));
                 }
-                win.reachable_batch(&probes, &mut ordered);
+                po.reachable_batch(&probes, &mut ordered);
                 for (ci, &(u, f)) in chunk.iter().enumerate() {
                     if self.candidates >= self.cfg.max_candidates {
                         break 'outer;
@@ -175,8 +175,8 @@ impl<P: PartialOrderIndex> MemBugPredictor<P> {
                     if witness_co_enabled::<P>(&ctx, &self.cfg.saturation, &[u, f]) {
                         self.bugs.push(MemBug::UseAfterFree {
                             obj,
-                            use_event: win.to_global(u),
-                            free_event: win.to_global(f),
+                            use_event: self.builder.to_global(u),
+                            free_event: self.builder.to_global(f),
                         });
                     }
                 }
@@ -192,8 +192,8 @@ impl<P: PartialOrderIndex> MemBugPredictor<P> {
                         // by construction.
                         self.bugs.push(MemBug::DoubleFree {
                             obj,
-                            first: win.to_global(f1),
-                            second: win.to_global(f2),
+                            first: self.builder.to_global(f1),
+                            second: self.builder.to_global(f2),
                         });
                         continue;
                     }
@@ -202,8 +202,8 @@ impl<P: PartialOrderIndex> MemBugPredictor<P> {
                     // double free needs no witness beyond both existing.
                     self.bugs.push(MemBug::DoubleFree {
                         obj,
-                        first: win.to_global(f1),
-                        second: win.to_global(f2),
+                        first: self.builder.to_global(f1),
+                        second: self.builder.to_global(f2),
                     });
                 }
             }

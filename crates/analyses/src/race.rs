@@ -117,13 +117,13 @@ fn enumerate_candidates(trace: &Trace, recent: usize) -> Vec<(NodeId, NodeId)> {
 }
 
 /// Filters `candidates` down to the pairs that reach the witness check:
-/// unordered in the base order `win` (both directions probed through
+/// unordered in the base order `po` (both directions probed through
 /// the batched API), not protected by a common lock, and within the
 /// first `cap` survivors (the candidate budget).
 ///
 /// Deterministic and independent of any witness outcome.
 fn select_candidates<P: PartialOrderIndex>(
-    win: &P,
+    po: &P,
     trace: &Trace,
     candidates: &[(NodeId, NodeId)],
     cap: usize,
@@ -146,7 +146,7 @@ fn select_candidates<P: PartialOrderIndex>(
             probes.push((e1, e2));
             probes.push((e2, e1));
         }
-        win.reachable_batch(&probes, &mut ordered);
+        po.reachable_batch(&probes, &mut ordered);
         for (ci, &(e1, e2)) in chunk.iter().enumerate() {
             if selected.len() >= cap {
                 break 'chunks;
@@ -189,13 +189,13 @@ impl<P: PartialOrderIndex> RacePredictor<P> {
     /// Runs candidate generation + witness checks over the buffered
     /// window (the whole trace when unwindowed).
     fn analyze_window(&mut self) {
-        let (trace, win) = self.builder.split();
+        let (trace, po) = (self.builder.buffered(), self.builder.po());
         if trace.total_events() == 0 {
             return;
         }
         let candidates = enumerate_candidates(trace, self.cfg.recent);
         let remaining = self.cfg.max_candidates.saturating_sub(self.candidates);
-        let checked = select_candidates(&win, trace, &candidates, remaining);
+        let checked = select_candidates(po, trace, &candidates, remaining);
         if checked.is_empty() {
             return;
         }
@@ -203,7 +203,8 @@ impl<P: PartialOrderIndex> RacePredictor<P> {
         for &(e1, e2) in &checked {
             self.candidates += 1;
             if witness_co_enabled::<P>(&ctx, &self.cfg.saturation, &[e1, e2]) {
-                self.races.push((win.to_global(e1), win.to_global(e2)));
+                let race = (self.builder.to_global(e1), self.builder.to_global(e2));
+                self.races.push(race);
             }
         }
     }

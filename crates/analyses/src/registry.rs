@@ -17,9 +17,8 @@
 //! Sessions take an optional **window** (the `--window N` of the CLI):
 //! predictive analyses then bound their event buffer to `N`-event
 //! tumbling windows, retiring each window by resetting its base order
-//! to a fresh index. Windowed runs take the sparse representations
-//! (`csst`, `graph`): the dense ones size their storage by global
-//! position, so a window would not bound their memory. See the
+//! to a fresh index. The base order speaks window-local ids, so a
+//! window bounds the index on every representation. See the
 //! [`crate::Analysis`] soundness contract.
 
 use crate::{c11, deadlock, hb, linearizability, membug, race, tso, uaf, Analysis};
@@ -131,8 +130,8 @@ impl AnalysisEntry {
     /// # Errors
     ///
     /// A human-readable message when the representation does not fit
-    /// the analysis (linearizability needs edge deletion, windowed runs
-    /// a sparse index) or when the analysis does not support windowing.
+    /// the analysis (linearizability needs edge deletion) or when the
+    /// analysis does not support windowing.
     pub fn open(
         &self,
         index: IndexKind,
@@ -249,38 +248,30 @@ fn open<A: Served + 'static>(cfg: A::Cfg) -> Box<dyn Session> {
 
 /// Opens a session of analysis `A<…>` with configuration `Cfg { window,
 /// ..Default::default() }` (or an explicit `cfg: expr`), choosing the
-/// index type from `index` and `window`: the one place that maps a
-/// representation name to a type. `csst` is [`IncrementalCsst`] for
-/// `A<P>` and [`Csst`] for `A<Csst>` (the append-heavy hb and c11
-/// orders, linearizability's deletes), windowed or not. Windowed runs
-/// refuse the dense representations (`st`, `vc`): their storage is
-/// sized by global position, so a window would not bound it.
+/// index type from `index`: the one place that maps a representation
+/// name to a type. `csst` is [`IncrementalCsst`] for `A<P>` and
+/// [`Csst`] for `A<Csst>` (the append-heavy hb and c11 orders,
+/// linearizability's deletes), windowed or not. Every representation
+/// takes a window: the base order speaks window-local ids, so its
+/// chains never outgrow the window.
 macro_rules! streaming_dispatch {
+    ($index:expr, $($a:ident)::+<P>, cfg: $cfg:expr) => {
+        streaming_dispatch!(@open $index, $cfg, $($a)::+<IncrementalCsst>, $($a)::+)
+    };
+    ($index:expr, $($a:ident)::+<Csst>, cfg: $cfg:expr) => {
+        streaming_dispatch!(@open $index, $cfg, $($a)::+<Csst>, $($a)::+)
+    };
     ($index:expr, $window:expr, $($a:ident)::+<$p:ident>, $($cfg:ident)::+) => {
-        streaming_dispatch!($index, $window, $($a)::+<$p>,
+        streaming_dispatch!($index, $($a)::+<$p>,
             cfg: $($cfg)::+ { window: $window, ..Default::default() })
     };
-    ($index:expr, $window:expr, $($a:ident)::+<P>, cfg: $cfg:expr) => {
-        streaming_dispatch!(@open $index, $window, $cfg,
-            $($a)::+<IncrementalCsst>, $($a)::+<SegTreeIndex>,
-            $($a)::+<VectorClockIndex>, $($a)::+<GraphIndex>)
-    };
-    ($index:expr, $window:expr, $($a:ident)::+<Csst>, cfg: $cfg:expr) => {
-        streaming_dispatch!(@open $index, $window, $cfg,
-            $($a)::+<Csst>, $($a)::+<SegTreeIndex>,
-            $($a)::+<VectorClockIndex>, $($a)::+<GraphIndex>)
-    };
-    (@open $index:expr, $window:expr, $cfg:expr, $csst:ty, $st:ty, $vc:ty, $graph:ty) => {
-        match ($window, $index) {
-            (_, IndexKind::Csst) => Ok(open::<$csst>($cfg)),
-            (_, IndexKind::Graph) => Ok(open::<$graph>($cfg)),
-            (None, IndexKind::SegTree) => Ok(open::<$st>($cfg)),
-            (None, IndexKind::VectorClock) => Ok(open::<$vc>($cfg)),
-            (Some(_), other) => Err(format!(
-                "--window needs a sparse index (csst|graph); `{}` sizes its storage by global position, so a window would not bound its memory",
-                other.name()
-            )),
-        }
+    (@open $index:expr, $cfg:expr, $csst:ty, $($a:ident)::+) => {
+        Ok(match $index {
+            IndexKind::Csst => open::<$csst>($cfg),
+            IndexKind::SegTree => open::<$($a)::+<SegTreeIndex>>($cfg),
+            IndexKind::VectorClock => open::<$($a)::+<VectorClockIndex>>($cfg),
+            IndexKind::Graph => open::<$($a)::+<GraphIndex>>($cfg),
+        })
     };
 }
 
@@ -309,7 +300,7 @@ static ENTRIES: [AnalysisEntry; 8] = [
                     "hb is genuinely online and buffers nothing; --window does not apply".into(),
                 );
             }
-            streaming_dispatch!(index, window, hb::HbDetector<Csst>, cfg: ())
+            streaming_dispatch!(index, hb::HbDetector<Csst>, cfg: ())
         },
         demo: || {
             gen::racy_program(&gen::RacyProgramCfg {
@@ -691,15 +682,17 @@ mod tests {
     }
 
     #[test]
-    fn windowed_runs_reject_dense_indexes() {
-        let entry = find("race").unwrap();
-        let trace = entry.demo_trace();
-        for kind in [IndexKind::SegTree, IndexKind::VectorClock] {
-            let err = entry.run(&trace, kind, Some(50)).unwrap_err();
-            assert!(err.contains("needs a sparse index"), "{err}");
-        }
-        for kind in [IndexKind::Csst, IndexKind::Graph] {
-            assert!(entry.run(&trace, kind, Some(50)).is_ok());
+    fn windowed_runs_open_on_every_index() {
+        for name in ["race", "deadlock"] {
+            let entry = find(name).unwrap();
+            let trace = entry.demo_trace();
+            let want = entry.run(&trace, IndexKind::Csst, Some(64)).unwrap();
+            assert!(!want.lines.is_empty(), "{name}: the demo must report");
+            for kind in IndexKind::ALL {
+                let got = entry.run(&trace, kind, Some(64)).unwrap();
+                assert_eq!(got.lines, want.lines, "{name} on {}", kind.name());
+                assert_eq!(got.summary, want.summary, "{name} on {}", kind.name());
+            }
         }
     }
 

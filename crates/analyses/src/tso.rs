@@ -123,12 +123,12 @@ pub struct TsoChecker<P> {
     dense: Vec<u32>,
     /// Recorded thread id of each dense id.
     recorded: Vec<ThreadId>,
-    /// Global number of stores per dense thread (the next commit
+    /// The window's number of stores per dense thread (the next commit
     /// position).
     store_count: Vec<u32>,
-    /// value → (store event, variable); persists across windows so
-    /// cross-window observations are recognized (and skipped) rather
-    /// than misread as values from nowhere.
+    /// value → (store event as a global id, variable); persists across
+    /// windows so cross-window observations are recognized (and
+    /// skipped) rather than misread as values from nowhere.
     writer_of_value: HashMap<u64, (NodeId, VarId)>,
     /// Current window's stores: store event → commit node.
     commit_of: HashMap<NodeId, NodeId>,
@@ -162,13 +162,13 @@ impl<P: PartialOrderIndex> TsoChecker<P> {
                 let observed = if value == 0 {
                     None
                 } else {
-                    // A retired writer (not in `commit_of`) is a
-                    // cross-window observation: no constraint.
-                    match self.writer_of_value.get(&value) {
-                        Some(&(s, _)) if self.commit_of.contains_key(&s) => Some(s),
-                        Some(_) => continue 'loads,
-                        None => continue 'loads,
-                    }
+                    // A retired writer is a cross-window observation:
+                    // no constraint.
+                    let writer = self.writer_of_value.get(&value);
+                    let Some(s) = writer.and_then(|&(s, _)| self.builder.local(s)) else {
+                        continue 'loads;
+                    };
+                    Some(s)
                 };
                 match observed {
                     None => {
@@ -271,6 +271,7 @@ impl<P: PartialOrderIndex> TsoChecker<P> {
 
     fn retire(&mut self) {
         self.builder.retire_window();
+        self.store_count.fill(0);
         self.commit_of.clear();
         self.commits_at.clear();
         self.loads.clear();
@@ -306,7 +307,8 @@ impl<P: PartialOrderIndex> Analysis for TsoChecker<P> {
                 let c = commit(thread, self.store_count[thread.index()]);
                 self.store_count[thread.index()] += 1;
                 self.commit_of.insert(id, c);
-                self.writer_of_value.insert(value, (id, var));
+                self.writer_of_value
+                    .insert(value, (self.builder.to_global(id), var));
                 self.commits_at
                     .entry((var, thread.index()))
                     .or_default()
@@ -327,15 +329,15 @@ impl<P: PartialOrderIndex> Analysis for TsoChecker<P> {
                         Some(&(s, wvar)) => {
                             if wvar != var {
                                 self.inconsistent = true;
-                            } else if s.thread != thread {
-                                if let Some(&c) = self.commit_of.get(&s) {
-                                    self.apply(c, issue(id));
+                            } else if let Some(s) = self.builder.local(s) {
+                                if s.thread != thread {
+                                    self.apply(self.commit_of[&s], issue(id));
+                                } else if s.pos >= id.pos {
+                                    self.inconsistent = true; // future store
                                 }
-                                // A retired writer is a cross-window
-                                // observation: no constraint.
-                            } else if s.pos >= id.pos {
-                                self.inconsistent = true; // future store
                             }
+                            // A retired writer is a cross-window
+                            // observation: no constraint.
                         }
                     }
                 }

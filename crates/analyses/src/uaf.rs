@@ -99,16 +99,17 @@ pub struct UafGenerator<P> {
 
 impl<P: PartialOrderIndex> UafGenerator<P> {
     fn analyze_window(&mut self) {
-        let (trace, mut win) = self.builder.split();
+        let (trace, po) = self.builder.split();
         if trace.total_events() == 0 {
             return;
         }
         // Saturate the incrementally built observation order up to the
         // fixpoint the UFO encoding assumes (the fork/join and rf edges
         // are already in place from `feed`).
-        let ctx = ClosureCtx::new(trace, None);
-        let out = saturate(&mut win, &ctx, &self.cfg.saturation);
+        let out = saturate(po, &ClosureCtx::new(trace, None), &self.cfg.saturation);
         debug_assert!(out.consistent);
+        self.builder.note_inserted(out.inserted);
+        let (trace, po) = (self.builder.buffered(), self.builder.po());
 
         #[derive(Default)]
         struct Life {
@@ -155,7 +156,7 @@ impl<P: PartialOrderIndex> UafGenerator<P> {
                     probes.push((u, f));
                     probes.push((f, u));
                 }
-                win.reachable_batch(&probes, &mut ordered);
+                po.reachable_batch(&probes, &mut ordered);
                 // Constraint counting: the encoding relates the
                 // per-thread frontiers of the two events — for every
                 // thread, the latest event that must precede `u` and
@@ -174,7 +175,7 @@ impl<P: PartialOrderIndex> UafGenerator<P> {
                         pred_probes.push((f, ThreadId(t as u32)));
                     }
                 }
-                win.predecessor_batch(&pred_probes, &mut preds);
+                po.predecessor_batch(&pred_probes, &mut preds);
                 for (si, &ci) in survivors.iter().enumerate() {
                     let (u, f) = chunk[ci];
                     let constraints = preds[si * 2 * k..(si + 1) * 2 * k]
@@ -184,8 +185,8 @@ impl<P: PartialOrderIndex> UafGenerator<P> {
                     self.total_constraints += constraints;
                     self.candidates.push(UafCandidate {
                         obj,
-                        use_event: win.to_global(u),
-                        free_event: win.to_global(f),
+                        use_event: self.builder.to_global(u),
+                        free_event: self.builder.to_global(f),
                         constraints,
                     });
                 }

@@ -62,12 +62,8 @@ fn incompatible_options_fail_before_the_file_is_read() {
     let missing = std::env::temp_dir().join(format!("csst-cli-missing-{}.txt", std::process::id()));
     assert!(!Path::new(&missing).exists());
     let missing = missing.to_str().unwrap();
-    let cases: [(&[&str], &str); 4] = [
+    let cases: [(&[&str], &str); 3] = [
         (&["hb", missing, "--window", "5"], "does not apply"),
-        (
-            &["race", missing, "--index", "st", "--window", "4"],
-            "--window needs a sparse index (csst|graph); `st` sizes its storage by global position",
-        ),
         (
             &["linearizability", missing, "--index", "vc"],
             "needs a fully dynamic index (csst|graph), got `vc`",

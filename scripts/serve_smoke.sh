@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end smoke test of the csst-serve service over loopback TCP:
-# starts the server, runs four *concurrent* client sessions (hb over
-# the binary wire format, race over text, windowed tso over binary and
-# windowed deadlock over rapid), each with --check-batch so the
+# starts the server, runs five *concurrent* client sessions (hb over
+# the binary wire format, race over text, windowed tso over binary,
+# windowed deadlock over rapid and windowed deadlock on vector clocks
+# over text), each with --check-batch so the
 # streamed report must match the local batch analyzer byte-for-byte,
 # then asks the server to shut down and checks every exit code —
 # including the server's own.
@@ -50,11 +51,12 @@ if [[ -z "$addr" ]]; then
 fi
 echo "serve_smoke: server at $addr (pid $server_pid)"
 
-# Four sessions at once: different analyses, formats and windows,
-# each fed event by event into its registry session. The hb and race
-# demos contain races and the deadlock demo contains deadlocks, so
-# those sessions (and the matching batch runs) exit 1 — the *expected*
-# code, not a failure; the tso demo is consistent and exits 0.
+# Five sessions at once: different analyses, formats, windows and
+# indexes, each fed event by event into its registry session. The hb
+# and race demos contain races and the deadlock demo contains
+# deadlocks, so those sessions (and the matching batch runs) exit 1 —
+# the *expected* code, not a failure; the tso demo is consistent and
+# exits 0. The vc session runs a dense representation windowed.
 "$client" --connect "$addr" --analysis hb --index csst \
     --format binary --query events --query races --check-batch \
     >"$logdir/hb.out" 2>&1 &
@@ -71,15 +73,20 @@ tso_pid=$!
     --format rapid --query events --check-batch \
     >"$logdir/deadlock.out" 2>&1 &
 deadlock_pid=$!
+"$client" --connect "$addr" --analysis deadlock --index vc --window 64 \
+    --format text --query events --check-batch \
+    >"$logdir/deadlock_vc.out" 2>&1 &
+deadlock_vc_pid=$!
 
 hb_code=0; wait "$hb_pid" || hb_code=$?
 race_code=0; wait "$race_pid" || race_code=$?
 tso_code=0; wait "$tso_pid" || tso_code=$?
 deadlock_code=0; wait "$deadlock_pid" || deadlock_code=$?
-hb_want=1; race_want=1; tso_want=0; deadlock_want=1
+deadlock_vc_code=0; wait "$deadlock_vc_pid" || deadlock_vc_code=$?
+hb_want=1; race_want=1; tso_want=0; deadlock_want=1; deadlock_vc_want=1
 
 fail=0
-for session in hb race tso deadlock; do
+for session in hb race tso deadlock deadlock_vc; do
     code_var="${session}_code"
     want_var="${session}_want"
     code="${!code_var}"
@@ -139,4 +146,4 @@ if [[ "$server_code" != "0" ]]; then
     exit 1
 fi
 
-echo "serve_smoke OK: four concurrent sessions matched the batch analyzer, unclean disconnect absorbed, clean shutdown"
+echo "serve_smoke OK: five concurrent sessions matched the batch analyzer, unclean disconnect absorbed, clean shutdown"

@@ -13,13 +13,63 @@
 //! windowed `graph` report.
 //!
 //! They also pin the resource half of the contract: peak buffered
-//! events never exceed the window.
+//! events never exceed the window, and neither does any chain of the
+//! base order, whose memory stays within a constant times the window
+//! however long the stream runs.
 
 use csst_analyses::registry::{self, IndexKind};
-use csst_analyses::{membug, race, tso, uaf};
-use csst_core::{Csst, IncrementalCsst, NodeId};
+use csst_analyses::{membug, race, tso, uaf, BaseOrderBuilder};
+use csst_core::{
+    Csst, GraphIndex, IncrementalCsst, NodeId, PartialOrderIndex, SegTreeIndex, ThreadId,
+    VectorClockIndex,
+};
 use csst_trace::{gen, Trace};
 use proptest::prelude::*;
+
+/// Memory bound of a windowed base order over `THREADS` chains:
+/// `memory_bytes() ≤ BYTES_PER_WINDOW_EVENT · window`. The densest
+/// representation, `st`, keeps `THREADS²` pair arrays of up to
+/// `2 · window` four-byte entries (128 bytes per window event); the
+/// rest is a fixed part (pair tables, scratch) that the smallest window
+/// tested amortizes. Measured peaks stay below 250 bytes per window
+/// event on every representation.
+const THREADS: usize = 4;
+const BYTES_PER_WINDOW_EVENT: usize = 512;
+
+/// Streams `trace` through a windowed observation builder on `P`:
+/// after every retirement every chain fits in the window, and the
+/// index's memory, at the window's peak and after its retirement,
+/// stays within the bound.
+fn assert_bounded_base_order<P: PartialOrderIndex>(
+    trace: &Trace,
+    window: usize,
+) -> Result<(), TestCaseError> {
+    let mut builder = BaseOrderBuilder::<P>::observing(Some(window));
+    let bound = BYTES_PER_WINDOW_EVENT * window;
+    for (id, ev) in trace.iter_order() {
+        builder.feed(id.thread, ev.kind);
+        if !builder.window_full() {
+            continue;
+        }
+        let peak = builder.po().memory_bytes();
+        builder.retire_window();
+        let po = builder.po();
+        for t in (0..po.chains()).map(ThreadId::from_index) {
+            let len = po.chain_len(t);
+            prop_assert!(len <= window, "{} {:?}: {} > {}", po.name(), t, len, window);
+        }
+        let after = po.memory_bytes();
+        prop_assert!(
+            peak.max(after) <= bound,
+            "{}: {} / {} bytes",
+            po.name(),
+            peak.max(after),
+            bound
+        );
+    }
+    prop_assert!(builder.stats().windows >= 100);
+    Ok(())
+}
 
 /// Cuts `trace` into `n`-event tumbling windows. Each window is
 /// returned as its own sub-trace together with the per-thread global
@@ -54,6 +104,29 @@ fn to_global(offsets: &[u32], id: NodeId) -> NodeId {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Over at least 100 windows, every representation's base order
+    /// stays within the window: chain lengths after every retirement,
+    /// memory at every window's peak and after its retirement.
+    #[test]
+    fn windowed_base_order_memory_is_bounded_by_the_window(
+        seed in 0u64..500,
+        window in 16usize..64,
+    ) {
+        let trace = gen::racy_program(&gen::RacyProgramCfg {
+            threads: THREADS,
+            events_per_thread: 26 * window,
+            vars: 3,
+            shared_frac: 0.8,
+            seed,
+            ..Default::default()
+        });
+        assert_bounded_base_order::<Csst>(&trace, window)?;
+        assert_bounded_base_order::<IncrementalCsst>(&trace, window)?;
+        assert_bounded_base_order::<SegTreeIndex>(&trace, window)?;
+        assert_bounded_base_order::<VectorClockIndex>(&trace, window)?;
+        assert_bounded_base_order::<GraphIndex>(&trace, window)?;
+    }
 
     /// Windowed race prediction reports exactly the batch oracle's
     /// findings per window — no report spans a boundary, none is
